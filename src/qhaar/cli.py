@@ -177,20 +177,17 @@ def _cmd_freeness(args):
         scenario = load_scenario(args.scenario)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"--scenario: {exc}") from exc
-    if args.threads < 1:
-        raise UsageError("--threads: must be positive")
     n_range = scenario.n_range
     if args.n_min is not None or args.n_max is not None:
         n_range = _n_range(args, scenario.n_range[0], scenario.n_range[-1])
     try:
-        report = scenario.report(n_range=n_range, threads=args.threads)
+        report = scenario.report(n_range=n_range)
     except ZeroDivisionError as exc:
         raise UsageError(f"--n-min: {exc}") from exc
     params = {
         "scenario": str(args.scenario),
         "n_min": min(n_range),
         "n_max": max(n_range),
-        "threads": args.threads,
     }
     results = report_to_json(report)
     results["name"] = scenario.name
@@ -416,7 +413,7 @@ _HANDLERS = {
 
 
 def _add_common(sub, *, eps=False, m=False, flavor=False, scenario=False,
-                n_range=False, threads=False):
+                n_range=False):
     if flavor:
         sub.add_argument("--flavor", default="quantum", help="haar family: quantum or classical")
     if eps:
@@ -428,9 +425,6 @@ def _add_common(sub, *, eps=False, m=False, flavor=False, scenario=False,
     if n_range:
         sub.add_argument("--n-min", type=int, dest="n_min", help="smallest matrix size")
         sub.add_argument("--n-max", type=int, dest="n_max", help="largest matrix size")
-    if threads:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for per-size evaluation")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="output format")
     sub.add_argument("--out", help="write output to this path instead of stdout")
@@ -475,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "range, compare against the limit formula, and report the decay "
         "diagnostics; exits 1 when the decay criterion fails.",
     )
-    _add_common(p, scenario=True, n_range=True, threads=True)
+    _add_common(p, scenario=True, n_range=True)
 
     p = subs.add_parser(
         "counterexample",

@@ -2,9 +2,9 @@
 
 The Weingarten tables live over the field of rational functions of the
 dimension variable n with integer coefficients; moments of concrete matrix
-models live over Q or Q(i).  This module provides those fields, exact linear
-algebra over any of them, Laurent expansions at n = infinity, and exact
-rational interpolation from sampled values.
+models live over Q or Q(i).  This module provides those fields, exact
+inversion of matrices over the rational functions, Laurent expansions at
+n = infinity, and exact rational interpolation from sampled values.
 
 BigRational is fractions.Fraction: it already guarantees arbitrary precision,
 positive denominators and reduced form, so it is re-exported as the rational
@@ -149,9 +149,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def abs_float(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -531,26 +528,11 @@ def _pexact_div_fraction(a, b) -> tuple[int, ...]:
 # exact matrices
 
 
-def _zero_like(x):
-    return x - x
-
-
-def _one_like(x):
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    if isinstance(x, GaussianRational):
-        return GaussianRational.one()
-    if isinstance(x, RationalFunction):
-        return RationalFunction.one()
-    raise TypeError(f"unsupported field element {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class FieldMatrix:
-    """A square matrix over one exact field, with optional row/column labels."""
+    """A square matrix over the rational functions of n (Gram and Weingarten)."""
 
-    entries: tuple[tuple[object, ...], ...]
-    labels: tuple[str, ...] = ()
+    entries: tuple[tuple[RationalFunction, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.entries)
@@ -558,10 +540,7 @@ class FieldMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        if self.labels and len(self.labels) != n:
-            raise ValueError("label count must match dimension")
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def size(self) -> int:
@@ -570,42 +549,13 @@ class FieldMatrix:
     def entry(self, i: int, j: int):
         return self.entries[i][j]
 
-    def multiply(self, other: "FieldMatrix") -> "FieldMatrix":
-        n = self.size
-        if other.size != n:
-            raise ValueError("dimension mismatch")
-        if n == 0:
-            return self
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = _zero_like(self.entries[i][0])
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return FieldMatrix(tuple(rows), self.labels)
-
-    def is_identity(self) -> bool:
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                e = self.entries[i][j]
-                if i == j:
-                    if e != _one_like(e):
-                        return False
-                elif bool(e):
-                    return False
-        return True
-
     def invert(self) -> "FieldMatrix":
         """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
         n = self.size
         if n == 0:
             return self
-        one = _one_like(self.entries[0][0])
-        zero = _zero_like(self.entries[0][0])
+        one = RationalFunction.one()
+        zero = RationalFunction.zero()
         aug = [
             list(self.entries[i]) + [one if i == j else zero for j in range(n)]
             for i in range(n)
@@ -625,7 +575,7 @@ class FieldMatrix:
                     continue
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
         inv = tuple(tuple(row[n:]) for row in aug)
-        return FieldMatrix(inv, self.labels)
+        return FieldMatrix(inv)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -61,7 +60,7 @@ from .partitions import (
     mobius,
     restrict,
 )
-from .weingarten import FLAVORS, EntryWord, build_table, word_moment
+from .weingarten import FLAVORS, SIZE_CAPS, EntryWord, build_table, word_moment
 
 __all__ = [
     "UnitaryLetter",
@@ -187,9 +186,6 @@ class MixedWord:
         out = [self.lead] if self.lead is not None else []
         out.extend(let.factor for let in self.letters)
         return out
-
-    def is_single_label(self) -> bool:
-        return len(set(self.labels())) <= 1
 
     def as_quantum(self) -> "MixedWord":
         if self.flavor == "quantum":
@@ -516,6 +512,8 @@ class ConvergenceReport:
     slope is the least-squares slope of log delta against log N over the tail
     (None when the tail deviations vanish identically); n2_bounded compares
     the largest N^2 delta of the last three sizes against the first three.
+    The verdict passes only when both diagnostics pass; the CLI exits 1
+    exactly when it fails.
     """
 
     rows: tuple[ReportRow, ...]
@@ -525,7 +523,7 @@ class ConvergenceReport:
 
     @property
     def verdict(self) -> bool:
-        return self.slope_ok or self.n2_bounded
+        return self.slope_ok and self.n2_bounded
 
 
 def _fit_slope(rows) -> tuple[float | None, bool]:
@@ -550,13 +548,12 @@ def _n2_bounded(rows) -> bool:
     return tail <= N2_GROWTH_FACTOR * head
 
 
-def convergence_report(source, n_range, reference=None, threads: int = 1) -> ConvergenceReport:
+def convergence_report(source, n_range, reference=None) -> ConvergenceReport:
     """Evaluate a word family over an N range and diagnose the decay rate.
 
     source is a callable N -> MixedWord (a Scenario works too); reference is
     an optional callable N -> limit element, defaulting to limit_formula of
-    the quantum version of each word.  Rows are assembled in increasing N
-    order regardless of the thread count.
+    the quantum version of each word.  Rows come in increasing N order.
     """
     ns = sorted({int(n) for n in n_range})
     if not ns:
@@ -570,11 +567,7 @@ def convergence_report(source, n_range, reference=None, threads: int = 1) -> Con
         delta = word.algebra.norm_float(value - ref)
         return ReportRow(n, value, delta, float(n * n) * delta)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, ns))
-    else:
-        rows = [row(n) for n in ns]
+    rows = [row(n) for n in ns]
     slope, slope_ok = _fit_slope(rows)
     return ConvergenceReport(tuple(rows), slope, slope_ok, _n2_bounded(rows))
 
@@ -784,10 +777,8 @@ class Scenario:
             letters.append(UnitaryLetter(label, sign, factor))
         return MixedWord(self.flavor, tuple(letters))
 
-    def report(self, n_range=None, threads: int = 1) -> ConvergenceReport:
-        return convergence_report(
-            self, self.n_range if n_range is None else n_range, threads=threads
-        )
+    def report(self, n_range=None) -> ConvergenceReport:
+        return convergence_report(self, self.n_range if n_range is None else n_range)
 
 
 def _word_factor(expr: str, mats: dict, algebra: CoefficientAlgebra, size: int) -> BMatrix:
@@ -956,6 +947,17 @@ def load_scenario(source) -> Scenario:
         if not isinstance(factor, str):
             raise ValueError("letter factors are expression strings")
         word.append((label, sign, factor))
+    labels = {label for label, _, _ in word}
+    if flavor == "classical" and len(labels) > 1:
+        raise ValueError("word: classical scenarios use one unitary label")
+    if len(word) > SIZE_CAPS[flavor]:
+        raise ValueError(
+            f"word: {flavor} words have at most {SIZE_CAPS[flavor]} letters, got {len(word)}"
+        )
+    if len(labels) > 1 and len(word) > MULTI_LABEL_CAP:
+        raise ValueError(
+            f"word: multi-label words have at most {MULTI_LABEL_CAP} letters, got {len(word)}"
+        )
     rng = data.get("n_range")
     if (
         not isinstance(rng, list)
@@ -1044,14 +1046,6 @@ def finite_dim_scenario(d: int, n_range=None, seed: int = 7) -> ConvergenceRepor
 
 # ---------------------------------------------------------------------------
 # Laurent moments and infinitesimal structure
-
-
-def _canonical_quad(kappa: Partition) -> tuple[int, ...]:
-    idx = {}
-    for t, block in enumerate(kappa.blocks, start=1):
-        for pos in block:
-            idx[pos] = t
-    return tuple(idx[pos] for pos in range(1, 5))
 
 
 def _falling(n: int, r: int) -> int:

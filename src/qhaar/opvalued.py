@@ -16,7 +16,6 @@ N x N matrix-unit systems, with finitely supported coordinates).
 from __future__ import annotations
 
 import ast
-import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import NamedTuple
@@ -39,7 +38,6 @@ __all__ = [
     "cumulant_k",
     "constrained_sum",
     "norm_check",
-    "power_norm",
     "parse_entry_expression",
     "parse_scalar",
 ]
@@ -58,7 +56,7 @@ _ONE = GaussianRational.one()
 
 
 class CoefficientAlgebra(ABC):
-    """A unital *-algebra with exact coordinates and float norm estimates."""
+    """A unital *-algebra with exact coordinates and float spectral norms."""
 
     @abstractmethod
     def zero(self):
@@ -87,22 +85,9 @@ class CoefficientAlgebra(ABC):
     def scalar(self, c):
         return self.one() * _as_gauss(c)
 
-    def scalar_of(self, x) -> GaussianRational | None:
-        """The coefficient c with x = c * one, or None if x is not scalar."""
-        comps = self.components(x)
-        target = self.components(self.one())
-        if not comps:
-            return _ZERO
-        items = iter(comps.items())
-        key0, val0 = next(items)
-        if key0 not in target:
-            return None
-        c = val0 / target[key0]
-        expected = {k: c * v for k, v in target.items()}
-        return c if comps == expected else None
-
     def norm_float(self, x) -> float:
-        return power_norm(self.to_complex_array(x))
+        """Spectral norm of x, from numpy's SVD-based matrix 2-norm."""
+        return float(np.linalg.norm(self.to_complex_array(x), 2))
 
 
 class DenseElement:
@@ -503,7 +488,8 @@ class BMatrix:
         return np.block(blocks)
 
     def norm_float(self) -> float:
-        return power_norm(self.to_complex_array())
+        """Spectral norm of the block matrix, from numpy's SVD-based 2-norm."""
+        return float(np.linalg.norm(self.to_complex_array(), 2))
 
 
 def expectation(a: BMatrix):
@@ -688,33 +674,6 @@ def norm_check(sigma: Partition, args) -> NormCheck:
         bound *= a.norm_float()
     ok = lhs <= bound + max(1e-9, 1e-6 * bound)
     return NormCheck(lhs, bound, ok)
-
-
-def power_norm(x: np.ndarray) -> float:
-    """Spectral norm estimate: power iteration on X*X, deterministic start.
-
-    Runs at most 500 iterations or until the Rayleigh quotient is stable to a
-    relative 1e-12.
-    """
-    if x.size == 0:
-        return 0.0
-    y = x.conj().T @ x
-    dim = y.shape[0]
-    v = np.ones(dim) + np.arange(1, dim + 1) / (dim + 1)
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(500):
-        w = y @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w < 1e-300:
-            return 0.0
-        new_lam = float(np.real(np.vdot(v, w)))
-        v = w / norm_w
-        if abs(new_lam - lam) <= 1e-12 * max(abs(new_lam), 1.0):
-            lam = new_lam
-            break
-        lam = new_lam
-    return math.sqrt(max(lam, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,12 @@ __all__ = [
     "FAMILY_KINDS",
     "enumerate_family",
     "join_full",
-    "join_nc",
     "kreweras",
     "fatten",
     "fatten_extended",
     "unfatten",
-    "hat",
     "interleave",
     "rotate_left",
-    "rotate_right",
     "mobius",
     "mobius_recursive",
     "kernel",
@@ -124,12 +121,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise ValueError(f"{x} not in ground set")
-
     def block_index(self) -> dict[int, int]:
         """Map each element to the position of its block in canonical order."""
         out: dict[int, int] = {}
@@ -194,16 +185,6 @@ class SignPattern:
     def __len__(self) -> int:
         return len(self.signs)
 
-    def doubled(self) -> "SignPattern":
-        """Each letter repeated twice (the pattern of a hatted partition)."""
-        out: list[str] = []
-        for s in self.signs:
-            out.extend((s, s))
-        return SignPattern(tuple(out))
-
-    def rotated_left(self) -> "SignPattern":
-        return SignPattern(self.signs[1:] + self.signs[:1])
-
 
 def kernel(values) -> Partition:
     """ker of an index tuple: positions carrying equal values share a block.
@@ -262,37 +243,6 @@ def join_full(p: Partition, q: Partition) -> Partition:
     for x in range(1, p.size + 1):
         groups.setdefault(find(x), []).append(x)
     return Partition(p.size, tuple(tuple(g) for g in groups.values()))
-
-
-def join_nc(p: Partition, q: Partition) -> Partition:
-    """Join in NC(k): the full join with crossing block pairs merged to a fixed point."""
-    if not (p.is_noncrossing() and q.is_noncrossing()):
-        raise ValueError("join_nc requires noncrossing operands")
-    cur = join_full(p, q)
-    while not cur.is_noncrossing():
-        merged = False
-        blocks = cur.blocks
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if _blocks_cross(blocks[i], blocks[j]):
-                    rest = [blocks[t] for t in range(len(blocks)) if t not in (i, j)]
-                    rest.append(tuple(sorted(blocks[i] + blocks[j])))
-                    cur = Partition(cur.size, tuple(rest))
-                    merged = True
-                    break
-            if merged:
-                break
-    return cur
-
-
-def _blocks_cross(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    for a in u:
-        for b in u:
-            if a >= b:
-                continue
-            if any(a < c < b for c in v) and any(d < a or d > b for d in v):
-                return True
-    return False
 
 
 def _as_permutation(p: Partition) -> dict[int, int]:
@@ -390,17 +340,6 @@ def unfatten(q: Partition) -> Partition:
     return out
 
 
-def hat(p: Partition) -> Partition:
-    """Doubling map: block V turns into the union of {2i-1, 2i} over i in V."""
-    blocks = []
-    for block in p.blocks:
-        doubled: list[int] = []
-        for x in block:
-            doubled.extend((2 * x - 1, 2 * x))
-        blocks.append(tuple(doubled))
-    return Partition(2 * p.size, tuple(blocks))
-
-
 def interleave(p: Partition, q: Partition) -> Partition:
     """p on the odd points, q on the even points of {1..2m} (p wr q)."""
     if p.size != q.size:
@@ -418,13 +357,6 @@ def rotate_left(p: Partition) -> Partition:
     """
     m = p.size
     shift = lambda x: m if x == 1 else x - 1
-    return Partition(m, tuple(tuple(shift(x) for x in b) for b in p.blocks))
-
-
-def rotate_right(p: Partition) -> Partition:
-    """Inverse of rotate_left."""
-    m = p.size
-    shift = lambda x: 1 if x == m else x + 1
     return Partition(m, tuple(tuple(shift(x) for x in b) for b in p.blocks))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 FLAVORS = ("quantum", "classical")
-_SIZE_CAPS = {"quantum": 8, "classical": 6}
+SIZE_CAPS = {"quantum": 8, "classical": 6}
 _SIGNS = ("1", "*")
 _KINDS = ("u", "adjoint")
 
@@ -174,41 +173,35 @@ class WeingartenTable:
 
 
 _TABLE_CACHE: dict[tuple[str, str], WeingartenTable] = {}
-_TABLE_LOCK = threading.Lock()
 
 
 def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     """Enumerate the pairing family for eps and invert its Gram matrix exactly.
 
-    Results are cached by (flavor, pattern); cached tables are immutable and
-    safe to share across threads.
+    Results are cached by (flavor, pattern); cached tables are immutable.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}")
     eps = _as_pattern(eps)
-    cap = _SIZE_CAPS[flavor]
+    cap = SIZE_CAPS[flavor]
     if len(eps) > cap:
         raise ValueError(f"{flavor} tables support at most {cap} letters, got {len(eps)}")
     key = (flavor, str(eps))
-    with _TABLE_LOCK:
-        cached = _TABLE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        kind = "nc2_eps" if flavor == "quantum" else "p2_eps"
-        family = enumerate_family(kind, len(eps), eps).members
-        size = len(family)
-        rows = []
-        for p in family:
-            row = tuple(
-                RationalFunction.monomial(len(join_full(p, s).blocks)) for s in family
-            )
-            rows.append(row)
-        labels = tuple(str(p) for p in family)
-        gram = FieldMatrix(tuple(rows), labels)
-        wg = gram.invert() if size else gram
-        table = WeingartenTable(flavor, eps, family, gram, wg)
-        _TABLE_CACHE[key] = table
-        return table
+    cached = _TABLE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    kind = "nc2_eps" if flavor == "quantum" else "p2_eps"
+    family = enumerate_family(kind, len(eps), eps).members
+    rows = []
+    for p in family:
+        row = tuple(
+            RationalFunction.monomial(len(join_full(p, s).blocks)) for s in family
+        )
+        rows.append(row)
+    gram = FieldMatrix(tuple(rows))
+    table = WeingartenTable(flavor, eps, family, gram, gram.invert())
+    _TABLE_CACHE[key] = table
+    return table
 
 
 def _refines_kernel(pairing: Partition, values: tuple[int, ...]) -> bool:

@@ -236,17 +236,50 @@ class TestFreeness:
         assert code == 2
         assert "--scenario" in err
 
-    def test_bad_thread_count(self, capsys):
-        code, out, err = run(
+    def test_verdict_agrees_with_exit_code(self, capsys):
+        # the deviation grows with N: slope fails while n2_bounded passes
+        code, payload = run_json(
             capsys,
             [
                 "freeness",
-                "--scenario", str(SCENARIO_DIR / "matrix_unit_flip.json"),
-                "--threads", "0",
+                "--scenario", str(SCENARIO_DIR / "classical_flip.json"),
+                "--n-min", "4",
+                "--n-max", "6",
             ],
         )
+        assert code == 1
+        assert payload["results"]["slope_ok"] is False
+        assert payload["results"]["n2_bounded"] is True
+        assert payload["results"]["verdict"] is False
+        assert payload["verdicts"]["verdict"] is False
+
+    @pytest.mark.parametrize(
+        "flavor, labels, message",
+        [
+            ("classical", [1, 2], "classical scenarios use one unitary label"),
+            ("classical", [1] * 8, "classical words have at most 6 letters, got 8"),
+            ("quantum", [1, 2] * 4, "multi-label words have at most 6 letters, got 8"),
+        ],
+        ids=["classical-two-labels", "over-table-cap", "multi-label-over-cap"],
+    )
+    def test_bad_scenario_exits_two(self, capsys, tmp_path, flavor, labels, message):
+        scenario = {
+            "name": "bad",
+            "flavor": flavor,
+            "algebra": {"kind": "dense", "dim": 1},
+            "families": {"A": {"constructor": "diagonal_constant", "cell": [["1"]]}},
+            "word": [
+                {"label": label, "sign": "1*"[t % 2], "factor": "A"}
+                for t, label in enumerate(labels)
+            ],
+            "n_range": [3, 4],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, ["freeness", "--scenario", str(path)])
         assert code == 2
-        assert "--threads" in err
+        assert out == ""
+        assert err == f"error: --scenario: word: {message}\n"
 
 
 class TestCounterexample:
