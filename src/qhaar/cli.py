@@ -184,6 +184,8 @@ def _cmd_freeness(args):
         report = scenario.report(n_range=n_range)
     except ZeroDivisionError as exc:
         raise UsageError(f"--n-min: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"--scenario: {exc}") from exc
     params = {
         "scenario": str(args.scenario),
         "n_min": min(n_range),
@@ -282,74 +284,40 @@ def _selftest_checks():
                         return False
         return True
 
-    def expectation_module_map():
-        rng = random.Random(3)
-        alg = DenseAlgebra(2)
+    dense = DenseAlgebra(2)
 
-        def cell():
-            return alg.element(
+    def cell(rng, imag=True):
+        return dense.element(
+            [
                 [
-                    [
-                        GaussianRational(
-                            Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-1, 1))
-                        )
-                        for _ in range(2)
-                    ]
+                    GaussianRational(
+                        Fraction(rng.randint(-2, 2)),
+                        Fraction(rng.randint(-1, 1) if imag else 0),
+                    )
                     for _ in range(2)
                 ]
-            )
+                for _ in range(2)
+            ]
+        )
 
-        mat = BMatrix(alg, [[cell() for _ in range(2)] for _ in range(2)])
-        b = cell()
-        return expectation(mat.left_mul(b)) == b * expectation(mat)
+    def mat(rng, imag=True):
+        return BMatrix(dense, [[cell(rng, imag) for _ in range(2)] for _ in range(2)])
+
+    def expectation_module_map():
+        rng = random.Random(3)
+        a = mat(rng)
+        b = cell(rng)
+        return expectation(a.left_mul(b)) == b * expectation(a)
 
     def functional_pair_is_product_expectation():
         rng = random.Random(4)
-        alg = DenseAlgebra(2)
-
-        def cell():
-            return alg.element(
-                [
-                    [
-                        GaussianRational(
-                            Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-1, 1))
-                        )
-                        for _ in range(2)
-                    ]
-                    for _ in range(2)
-                ]
-            )
-
-        a = BMatrix(alg, [[cell() for _ in range(2)] for _ in range(2)])
-        b = BMatrix(alg, [[cell() for _ in range(2)] for _ in range(2)])
+        a, b = mat(rng), mat(rng)
         pair = Partition.from_text("{{1,2}}")
         return functional_e(pair, [a, b]) == expectation(a @ b)
 
     def rank_one_moment_identity():
         rng = random.Random(5)
-        alg = DenseAlgebra(2)
-
-        def mat():
-            return BMatrix(
-                alg,
-                [
-                    [
-                        alg.element(
-                            [
-                                [
-                                    GaussianRational(Fraction(rng.randint(-2, 2)))
-                                    for _ in range(2)
-                                ]
-                                for _ in range(2)
-                            ]
-                        )
-                        for _ in range(2)
-                    ]
-                    for _ in range(2)
-                ],
-            )
-
-        a, b = mat(), mat()
+        a, b = mat(rng, imag=False), mat(rng, imag=False)
         want = expectation(a) * expectation(b)
         for flavor in FLAVORS:
             word = MixedWord.rotated(flavor, [a], [b])

@@ -15,13 +15,13 @@ the command line and the acceptance checks.
 
 from __future__ import annotations
 
-import ast
 import csv
 import io
 import itertools
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -42,8 +42,9 @@ from .opvalued import (
     MatrixUnitElement,
     constrained_sum,
     expectation,
+    evaluate_expression,
     functional_e,
-    parse_entry_expression,
+    parse_expression,
     parse_scalar,
 )
 from .partitions import (
@@ -93,6 +94,8 @@ __all__ = [
 ]
 
 MULTI_LABEL_CAP = 6
+# the names a matrix_unit_pattern entry may use
+ENTRY_NAMES = ("i", "j", "N", "E")
 
 SLOPE_THRESHOLD = -1.7
 N2_GROWTH_FACTOR = 1.5
@@ -674,14 +677,12 @@ class FamilySpec:
     def matrix(self, algebra: CoefficientAlgebra, n: int) -> BMatrix:
         rng = range(1, n + 1)
         if self.kind == "matrix_unit_pattern":
-            expr = self.payload
+            tree = parse_expression(self.payload, ENTRY_NAMES)
+            env = {"N": Fraction(n), "E": algebra.unit}
+            one = algebra.one()
             rows = [
                 [
-                    parse_entry_expression(
-                        expr,
-                        algebra,
-                        {"i": Fraction(i), "j": Fraction(j), "N": Fraction(n)},
-                    )
+                    evaluate_expression(tree, {**env, "i": Fraction(i), "j": Fraction(j)}, one)
                     for j in rng
                 ]
                 for i in rng
@@ -764,16 +765,18 @@ class Scenario:
             spec = self.families.get(name)
             if spec is None:
                 raise ValueError(f"unknown family: {name}")
-            cached = spec.matrix(self.algebra(n), n)
+            with _field(f"family {name}"):
+                cached = spec.matrix(self.algebra(n), n)
             self._cache[key] = cached
         return cached
 
     def word_at(self, n: int) -> MixedWord:
-        algebra = self.algebra(n)
         mats = {name: self.family_matrix(name, n) for name in self.families}
+        one = BMatrix.identity(self.algebra(n), n)
         letters = []
-        for label, sign, expr in self.word:
-            factor = _word_factor(expr, mats, algebra, n)
+        for t, (label, sign, expr) in enumerate(self.word, 1):
+            with _field(f"word letter {t}"):
+                factor = evaluate_expression(parse_expression(expr, mats), mats, one)
             letters.append(UnitaryLetter(label, sign, factor))
         return MixedWord(self.flavor, tuple(letters))
 
@@ -781,74 +784,13 @@ class Scenario:
         return convergence_report(self, self.n_range if n_range is None else n_range)
 
 
-def _word_factor(expr: str, mats: dict, algebra: CoefficientAlgebra, size: int) -> BMatrix:
-    """Evaluate a word-factor polynomial in the declared family symbols."""
+@contextmanager
+def _field(where: str):
+    """Prefix a ValueError raised inside with the scenario field it concerns."""
     try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"bad word factor expression: {expr!r}") from exc
-
-    def as_matrix(v):
-        if isinstance(v, BMatrix):
-            return v
-        return BMatrix.identity(algebra, size).scale(v)
-
-    def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.Name):
-            mat = mats.get(node.id)
-            if mat is None:
-                raise ValueError(f"unknown family symbol: {node.id}")
-            return mat
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, int):
-                raise ValueError("word factors use integer literals only")
-            return GaussianRational(Fraction(node.value))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            v = ev(node.operand)
-            return v.scale(-1) if isinstance(v, BMatrix) else -v
-        if isinstance(node, ast.BinOp):
-            left = ev(node.left)
-            right = ev(node.right)
-            if isinstance(node.op, (ast.Add, ast.Sub)):
-                if isinstance(left, BMatrix) or isinstance(right, BMatrix):
-                    left, right = as_matrix(left), as_matrix(right)
-                return left + right if isinstance(node.op, ast.Add) else left - right
-            if isinstance(node.op, ast.Mult):
-                if isinstance(left, BMatrix) and isinstance(right, BMatrix):
-                    return left @ right
-                if isinstance(left, BMatrix):
-                    return left.scale(right)
-                if isinstance(right, BMatrix):
-                    return right.scale(left)
-                return left * right
-            if isinstance(node.op, ast.Div):
-                if isinstance(right, BMatrix):
-                    raise ValueError("division only by scalar values")
-                inv = GaussianRational.one() / right
-                return left.scale(inv) if isinstance(left, BMatrix) else left * inv
-            if isinstance(node.op, ast.Pow):
-                if not isinstance(node.right, ast.Constant) or not isinstance(
-                    node.right.value, int
-                ) or node.right.value < 0:
-                    raise ValueError("exponents must be nonnegative integer literals")
-                k = node.right.value
-                if isinstance(left, BMatrix):
-                    out = BMatrix.identity(algebra, size)
-                    for _ in range(k):
-                        out = out @ left
-                    return out
-                out = GaussianRational.one()
-                for _ in range(k):
-                    out = out * left
-                return out
-            raise ValueError("unsupported operator in word factor expression")
-        raise ValueError(
-            f"unsupported syntax in word factor expression: {type(node).__name__}"
-        )
-
-    return as_matrix(ev(tree))
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _parse_cell(data, dim: int) -> DenseElement:
@@ -872,6 +814,7 @@ def _parse_family(data, kind: str, dim: int | None) -> FamilySpec:
         entry = data.get("entry")
         if not isinstance(entry, str):
             raise ValueError("matrix_unit_pattern families need an 'entry' expression")
+        parse_expression(entry, ENTRY_NAMES)
         return FamilySpec(ctor, entry)
     if kind != "dense":
         raise ValueError(f"constructor {ctor} needs the dense algebra")
@@ -894,6 +837,12 @@ def _parse_family(data, kind: str, dim: int | None) -> FamilySpec:
         payload = {}
         for key, rows in table.items():
             n = int(key)
+            if not (
+                isinstance(rows, list)
+                and len(rows) == n
+                and all(isinstance(row, list) and len(row) == n for row in rows)
+            ):
+                raise ValueError(f"the explicit matrix for N = {n} must be {n}x{n}")
             payload[n] = [[_parse_cell(v, dim) for v in row] for row in rows]
         return FamilySpec(ctor, payload)
     raise ValueError(f"unknown family constructor: {ctor}")
@@ -912,6 +861,8 @@ def load_scenario(source) -> Scenario:
         data = source
     else:
         raise TypeError("scenario source must be a path or a dict")
+    if not isinstance(data, dict):
+        raise ValueError("a scenario file holds one JSON object")
 
     name = data.get("name", "scenario")
     flavor = data.get("flavor")
@@ -929,12 +880,15 @@ def load_scenario(source) -> Scenario:
     fams = data.get("families")
     if not isinstance(fams, dict) or not fams:
         raise ValueError("scenario must declare a nonempty 'families' object")
-    families = {str(nm): _parse_family(fd, kind, dim) for nm, fd in fams.items()}
+    families = {}
+    for nm, fd in fams.items():
+        with _field(f"family {nm}"):
+            families[str(nm)] = _parse_family(fd, kind, dim)
     raw_word = data.get("word")
     if not isinstance(raw_word, list) or not raw_word:
         raise ValueError("scenario must declare a nonempty 'word' list")
     word = []
-    for item in raw_word:
+    for t, item in enumerate(raw_word, 1):
         if not isinstance(item, dict):
             raise ValueError("word letters are objects with label, sign, factor")
         label = item.get("label", 1)
@@ -946,6 +900,8 @@ def load_scenario(source) -> Scenario:
             raise ValueError("letter signs must be '1' or '*'")
         if not isinstance(factor, str):
             raise ValueError("letter factors are expression strings")
+        with _field(f"word letter {t}"):
+            parse_expression(factor, families)
         word.append((label, sign, factor))
     labels = {label for label, _, _ in word}
     if flavor == "classical" and len(labels) > 1:

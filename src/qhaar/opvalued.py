@@ -16,8 +16,10 @@ N x N matrix-unit systems, with finitely supported coordinates).
 from __future__ import annotations
 
 import ast
+import operator
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +40,8 @@ __all__ = [
     "cumulant_k",
     "constrained_sum",
     "norm_check",
-    "parse_entry_expression",
+    "parse_expression",
+    "evaluate_expression",
     "parse_scalar",
 ]
 
@@ -53,6 +56,7 @@ def _as_gauss(c) -> GaussianRational:
 
 _ZERO = GaussianRational.zero()
 _ONE = GaussianRational.one()
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 class CoefficientAlgebra(ABC):
@@ -447,18 +451,25 @@ class BMatrix:
         )
 
     def __sub__(self, other: "BMatrix") -> "BMatrix":
-        self._check(other)
-        return BMatrix(
-            self.algebra,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self + (-other)
 
     def scale(self, c) -> "BMatrix":
         c = _as_gauss(c)
         return BMatrix(self.algebra, tuple(tuple(v * c for v in r) for r in self.rows))
+
+    def __mul__(self, other) -> "BMatrix":
+        """The M_N(B) product with a matrix, or the multiple by a scalar."""
+        if isinstance(other, BMatrix):
+            return self @ other
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        return NotImplemented
+
+    def __rmul__(self, other) -> "BMatrix":
+        return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
+
+    def __neg__(self) -> "BMatrix":
+        return self.scale(-1)
 
     def left_mul(self, b) -> "BMatrix":
         """b . A for b in the coefficient algebra: entrywise left product."""
@@ -677,103 +688,118 @@ def norm_check(sigma: Partition, args) -> NormCheck:
 
 
 # ---------------------------------------------------------------------------
-# entry expressions and scalar literals
+# the expression language of scenario input
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+MAX_EXPONENT = 8
+MAX_DEPTH = 200
+
+_SYNTAX = (
+    ast.Expression, ast.Load, ast.Constant, ast.Name, ast.Call, ast.UnaryOp,
+    ast.UAdd, ast.USub, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
+)
 
 
-def parse_entry_expression(text: str, algebra: CoefficientAlgebra | None = None, env: dict | None = None):
-    """Evaluate a small arithmetic expression into a scalar or algebra element.
+def _is_pow(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
 
-    Supports integers, names from env, + - * / ** with scalar divisors, and
-    E(system, a, b) for matrix-unit symbols when the algebra provides them.
+
+def parse_expression(text: str, names) -> ast.Expression:
+    """Parse an expression and check it before any arithmetic runs.
+
+    Allowed: integer literals, the given names (values, or functions called
+    with positional arguments), unary + and -, and + - * / **.  An exponent
+    is an integer literal from 0 to MAX_EXPONENT, and a power's base holds
+    no other power, so the work stays bounded.  Errors are ValueErrors.
     """
-    env = env or {}
-
-    def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, int):
-                raise ValueError(f"only integer literals are allowed, got {node.value!r}")
-            return Fraction(node.value)
-        if isinstance(node, ast.Name):
-            if node.id not in env:
-                raise ValueError(f"unknown name {node.id!r} in entry expression")
-            return env[node.id]
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            val = ev(node.operand)
-            return val if isinstance(node.op, ast.UAdd) else -val
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            left, right = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                if isinstance(right, Fraction):
-                    if right == 0:
-                        raise ZeroDivisionError("division by zero in entry expression")
-                    if isinstance(left, Fraction):
-                        return left / right
-                    return left * Fraction(right.denominator, right.numerator)
-                if isinstance(right, GaussianRational):
-                    if isinstance(left, (Fraction, GaussianRational)):
-                        return _as_gauss(left) / right
-                    return left * (GaussianRational.one() / right)
-                raise ValueError("division only by scalar values")
-            # Pow
-            if not isinstance(right, Fraction) or right.denominator != 1 or right < 0:
-                raise ValueError("exponents must be nonnegative integers")
-            power = int(right)
-            if isinstance(left, Fraction):
-                return left**power
-            out = None
-            for _ in range(power):
-                out = left if out is None else out * left
-            if out is None:
-                if isinstance(left, GaussianRational):
-                    return GaussianRational.one()
-                if algebra is not None:
-                    return algebra.one()
-                raise ValueError("cannot form an empty product here")
-            return out
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "E":
-                if not isinstance(algebra, MatrixUnitAlgebra):
-                    raise ValueError("E(...) symbols need a matrix-unit algebra")
-                if node.keywords or len(node.args) != 3:
-                    raise ValueError("E takes exactly (system, row, col)")
-                vals = [ev(a) for a in node.args]
-                ints = []
-                for v in vals:
-                    if not isinstance(v, Fraction) or v.denominator != 1:
-                        raise ValueError("E arguments must be integers")
-                    ints.append(int(v))
-                return algebra.unit(*ints)
-            raise ValueError(f"unknown function {node.func.id!r}")
-        raise ValueError(f"unsupported syntax in entry expression: {ast.dump(node)}")
-
     try:
         tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse entry expression {text!r}") from exc
-    return ev(tree)
+    except (SyntaxError, RecursionError) as exc:
+        raise ValueError(f"cannot parse expression {text!r}") from exc
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ValueError(f"expressions nest at most {MAX_DEPTH} levels deep")
+        if not isinstance(node, _SYNTAX) or (
+            isinstance(node, ast.Call) and not isinstance(node.func, ast.Name)
+        ):
+            raise ValueError(f"unsupported syntax in {text!r}: {type(node).__name__}")
+        if isinstance(node, ast.Constant) and type(node.value) is not int:
+            raise ValueError(f"only integer literals are allowed, got {node.value!r}")
+        if isinstance(node, ast.Name) and node.id not in names:
+            raise ValueError(f"unknown name {node.id!r}")
+        if _is_pow(node):
+            exp = node.right
+            # a non-integer literal fails the literal check on its own visit
+            if not (isinstance(exp, ast.Constant) and exp.value in range(MAX_EXPONENT + 1)):
+                raise ValueError(f"exponents are integer literals from 0 to {MAX_EXPONENT}")
+            if any(_is_pow(sub) for sub in ast.walk(node.left)):
+                raise ValueError("the base of a power cannot hold another power")
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node))
+    return tree
+
+
+def evaluate_expression(tree: ast.Expression, env: dict, one):
+    """Value of a parsed expression in the ring whose unit is one.
+
+    env maps each name to a value or a function of integers.  Scalars (the
+    integer literals, rationals, Gaussian rationals) combine among
+    themselves; a scalar next to a ring value, like a scalar result, stands
+    for that multiple of one.  Division is only by nonzero scalars.  Every
+    domain error is a ValueError.
+    """
+
+    def lift(v):
+        return one * v if isinstance(v, _SCALARS) else v
+
+    def ev(node):
+        if isinstance(node, ast.Constant):
+            return Fraction(node.value)
+        if isinstance(node, ast.Name):
+            value = env.get(node.id)
+            if value is None or callable(value):
+                raise ValueError(f"{node.id} is not a value")
+            return value
+        if isinstance(node, ast.Call):
+            name, args = node.func.id, [ev(a) for a in node.args]
+            fn = env.get(name)
+            if not callable(fn):
+                raise ValueError(f"{name} is not a function")
+            if any(not isinstance(a, Fraction) or a.denominator != 1 for a in args):
+                raise ValueError(f"{name} takes integer arguments")
+            try:
+                return fn(*map(int, args))
+            except TypeError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        if isinstance(node, ast.UnaryOp):
+            value = ev(node.operand)
+            return -value if isinstance(node.op, ast.USub) else value
+        if _is_pow(node):
+            k = node.right.value
+            return reduce(operator.mul, [ev(node.left)] * k) if k else Fraction(1)
+        left, right = ev(node.left), ev(node.right)
+        if isinstance(node.op, ast.Div):
+            if not isinstance(right, _SCALARS):
+                raise ValueError("division only by scalars")
+            if not right:
+                raise ValueError("division by zero")
+            return left * (Fraction(1) / right)
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        if isinstance(left, _SCALARS) != isinstance(right, _SCALARS):
+            left, right = lift(left), lift(right)
+        return left + right if isinstance(node.op, ast.Add) else left - right
+
+    return lift(ev(tree.body))
 
 
 def parse_scalar(value) -> GaussianRational:
     """Exact scalar literal: an int, or a string like "3", "-1/2", "1+2*i"."""
     if isinstance(value, bool):
         raise ValueError("booleans are not scalars")
-    if isinstance(value, int):
-        return GaussianRational(Fraction(value))
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, Fraction):
-        return GaussianRational(value)
+    if isinstance(value, _SCALARS):
+        return _as_gauss(value)
     if isinstance(value, str):
-        result = parse_entry_expression(value, env={"i": GaussianRational.i()})
-        return _as_gauss(result)
+        env = {"i": GaussianRational.i()}
+        return evaluate_expression(parse_expression(value, env), env, _ONE)
     raise ValueError(f"cannot read {value!r} as an exact scalar")

@@ -14,6 +14,62 @@ from qhaar.cli import main
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def letters(labels, factors=None):
+    factors = factors or ["A"] * len(labels)
+    return [
+        {"label": label, "sign": "1*"[t % 2], "factor": factor}
+        for t, (label, factor) in enumerate(zip(labels, factors))
+    ]
+
+
+# a valid one-family dense scenario; each bad case below patches top-level keys
+BASE_SCENARIO = {
+    "name": "bad",
+    "flavor": "quantum",
+    "algebra": {"kind": "dense", "dim": 1},
+    "families": {"A": {"constructor": "diagonal_constant", "cell": [["1"]]}},
+    "word": letters([1, 1]),
+    "n_range": [3, 4],
+}
+
+
+def entry(text):
+    return {
+        "algebra": {"kind": "matrix_unit"},
+        "families": {"A": {"constructor": "matrix_unit_pattern", "entry": text}},
+    }
+
+
+BAD_SCENARIOS = [
+    ("classical-two-labels", {"flavor": "classical", "word": letters([1, 2])},
+     "word: classical scenarios use one unitary label"),
+    ("over-table-cap", {"flavor": "classical", "word": letters([1] * 8)},
+     "word: classical words have at most 6 letters, got 8"),
+    ("multi-label-over-cap", {"word": letters([1, 2] * 4)},
+     "word: multi-label words have at most 6 letters, got 8"),
+    ("entry-system-3", entry("E(3, i, j)"), "family A: system must be 1 or 2"),
+    ("entry-index-out-of-range", entry("E(1, j, i + 1)"),
+     "family A: matrix-unit indices out of range"),
+    ("factor-divides-by-zero", {"word": letters([1, 1], ["A / 0", "A"])},
+     "word letter 1: division by zero"),
+    ("factor-unknown-symbol", {"word": letters([1, 1], ["A", "C"])},
+     "word letter 2: unknown name 'C'"),
+    ("cell-divides-by-zero",
+     {"families": {"A": {"constructor": "diagonal_constant", "cell": [["1/0"]]}}},
+     "family A: division by zero"),
+    ("exponent-over-cap", {"word": letters([1, 1], ["A ** 9", "A"])},
+     "word letter 1: exponents are integer literals from 0 to 8"),
+    ("nested-power", {"word": letters([1, 1], ["A", "(A ** 2) ** 2"])},
+     "word letter 2: the base of a power cannot hold another power"),
+    ("nesting-over-cap", {"word": letters([1, 1], ["A", "+".join(["A"] * 300)])},
+     "word letter 2: expressions nest at most 200 levels deep"),
+    ("top-level-list", [1, 2], "a scenario file holds one JSON object"),
+    ("explicit-wrong-shape",
+     {"families": {"A": {"constructor": "explicit", "matrices": {"2": [[[["1"]]]]}}}},
+     "family A: the explicit matrix for N = 2 must be 2x2"),
+]
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -253,33 +309,33 @@ class TestFreeness:
         assert payload["results"]["verdict"] is False
         assert payload["verdicts"]["verdict"] is False
 
-    @pytest.mark.parametrize(
-        "flavor, labels, message",
-        [
-            ("classical", [1, 2], "classical scenarios use one unitary label"),
-            ("classical", [1] * 8, "classical words have at most 6 letters, got 8"),
-            ("quantum", [1, 2] * 4, "multi-label words have at most 6 letters, got 8"),
-        ],
-        ids=["classical-two-labels", "over-table-cap", "multi-label-over-cap"],
-    )
-    def test_bad_scenario_exits_two(self, capsys, tmp_path, flavor, labels, message):
-        scenario = {
-            "name": "bad",
-            "flavor": flavor,
-            "algebra": {"kind": "dense", "dim": 1},
-            "families": {"A": {"constructor": "diagonal_constant", "cell": [["1"]]}},
-            "word": [
-                {"label": label, "sign": "1*"[t % 2], "factor": "A"}
-                for t, label in enumerate(labels)
+    def test_pole_blames_n_min(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "freeness",
+                "--scenario", str(SCENARIO_DIR / "classical_flip.json"),
+                "--n-min", "2",
+                "--n-max", "3",
             ],
-            "n_range": [3, 4],
-        }
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-min: denominator vanishes at n = 2\n"
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [case[1:] for case in BAD_SCENARIOS],
+        ids=[case[0] for case in BAD_SCENARIOS],
+    )
+    def test_bad_scenario_exits_two(self, capsys, tmp_path, patch, message):
+        scenario = {**BASE_SCENARIO, **patch} if isinstance(patch, dict) else patch
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))
         code, out, err = run(capsys, ["freeness", "--scenario", str(path)])
         assert code == 2
         assert out == ""
-        assert err == f"error: --scenario: word: {message}\n"
+        assert err == f"error: --scenario: {message}\n"
 
 
 class TestCounterexample:

@@ -36,7 +36,9 @@ from qhaar.opvalued import (
     BMatrix,
     DenseAlgebra,
     MatrixUnitAlgebra,
+    evaluate_expression,
     expectation,
+    parse_expression,
 )
 from qhaar.partitions import Partition
 
@@ -49,6 +51,11 @@ def dense_cell(rows, alg=ALG2):
     from qhaar.opvalued import parse_scalar
 
     return alg.element([[parse_scalar(v) for v in row] for row in rows])
+
+
+def word_factor(text, mats, alg, n):
+    one = BMatrix.identity(alg, n)
+    return evaluate_expression(parse_expression(text, mats), mats, one)
 
 
 def rand_element(rng, alg):
@@ -464,35 +471,41 @@ class TestScenarios:
         scn = load_scenario(SCENARIO_DIR / "dense_circulant.json")
         n = 3
         mats = {nm: scn.family_matrix(nm, n) for nm in scn.families}
-        from qhaar.freeness import _word_factor
-
         alg = scn.algebra(n)
         a, b = mats["A"], mats["B"]
-        assert _word_factor("A + B", mats, alg, n) == a + b
-        assert _word_factor("A * B", mats, alg, n) == a @ b
-        assert _word_factor("2 * A", mats, alg, n) == a.scale(2)
-        assert _word_factor("A ** 2", mats, alg, n) == a @ a
-        assert _word_factor("A - 1", mats, alg, n) == a - BMatrix.identity(alg, n)
-        assert _word_factor("A / 2", mats, alg, n) == a.scale(Fraction(1, 2))
-        assert _word_factor("3", mats, alg, n) == BMatrix.identity(alg, n).scale(3)
+        assert word_factor("A + B", mats, alg, n) == a + b
+        assert word_factor("A * B", mats, alg, n) == a @ b
+        assert word_factor("2 * A", mats, alg, n) == a.scale(2)
+        assert word_factor("A ** 2", mats, alg, n) == a @ a
+        assert word_factor("A - 1", mats, alg, n) == a - BMatrix.identity(alg, n)
+        assert word_factor("A / 2", mats, alg, n) == a.scale(Fraction(1, 2))
+        assert word_factor("3", mats, alg, n) == BMatrix.identity(alg, n).scale(3)
 
     def test_word_factor_errors(self):
         scn = load_scenario(SCENARIO_DIR / "dense_circulant.json")
         n = 2
         mats = {nm: scn.family_matrix(nm, n) for nm in scn.families}
-        from qhaar.freeness import _word_factor
-
         alg = scn.algebra(n)
         with pytest.raises(ValueError):
-            _word_factor("C", mats, alg, n)
+            word_factor("C", mats, alg, n)
         with pytest.raises(ValueError):
-            _word_factor("A +", mats, alg, n)
+            word_factor("A +", mats, alg, n)
         with pytest.raises(ValueError):
-            _word_factor("1 / A", mats, alg, n)
+            word_factor("1 / A", mats, alg, n)
         with pytest.raises(ValueError):
-            _word_factor("A ** B", mats, alg, n)
+            word_factor("A ** B", mats, alg, n)
         with pytest.raises(ValueError):
-            _word_factor("__import__('os')", mats, alg, n)
+            word_factor("__import__('os')", mats, alg, n)
+
+    def test_scalar_added_to_entry_is_a_multiple_of_one(self):
+        data = json.loads((SCENARIO_DIR / "matrix_unit_flip.json").read_text())
+        data["families"]["A"]["entry"] = "E(1, j, i) + 2"
+        n = 3
+        alg = MatrixUnitAlgebra(n)
+        mat = load_scenario(data).family_matrix("A", n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert mat.entry(i - 1, j - 1) == alg.unit(1, j, i) + alg.one() * 2
 
     def test_family_matrix_cache(self):
         scn = load_scenario(SCENARIO_DIR / "dense_circulant.json")

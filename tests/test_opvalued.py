@@ -10,15 +10,18 @@ import pytest
 
 from qhaar.exactalg import GaussianRational
 from qhaar.opvalued import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
     BMatrix,
     DenseAlgebra,
     MatrixUnitAlgebra,
     constrained_sum,
     cumulant_k,
+    evaluate_expression,
     expectation,
     functional_e,
     norm_check,
-    parse_entry_expression,
+    parse_expression,
     parse_scalar,
 )
 from qhaar.partitions import Partition, enumerate_family, fatten, fatten_extended, interleave, kreweras, leq
@@ -504,55 +507,64 @@ class TestNormFloat:
         assert alg.norm_float(x) == pytest.approx(1.0, rel=1e-12)
 
 
+def entry(text, algebra=None, env=None):
+    """A matrix-unit entry over algebra, or a rational when algebra is None."""
+    env = dict(env or {})
+    if algebra is not None:
+        env["E"] = algebra.unit
+    one = algebra.one() if algebra is not None else Fraction(1)
+    return evaluate_expression(parse_expression(text, env), env, one)
+
+
 class TestParsing:
     def test_matrix_unit_symbol(self):
         alg = MatrixUnitAlgebra(3)
         env = {"i": Fraction(2), "j": Fraction(1), "N": Fraction(3)}
-        value = parse_entry_expression("E(1,j,i)", alg, env)
+        value = entry("E(1,j,i)", alg, env)
         assert value == alg.unit(1, 1, 2)
 
     def test_arithmetic_on_symbols(self):
         alg = MatrixUnitAlgebra(2)
-        value = parse_entry_expression("E(1,1,2)*E(1,2,1)", alg, {})
+        value = entry("E(1,1,2)*E(1,2,1)", alg, {})
         assert value == alg.unit(1, 1, 1)
-        value = parse_entry_expression("E(2,1,1) + E(2,2,2)", alg, {})
+        value = entry("E(2,1,1) + E(2,2,2)", alg, {})
         assert value == alg.one()
-        value = parse_entry_expression("E(1,1,1)**2", alg, {})
+        value = entry("E(1,1,1)**2", alg, {})
         assert value == alg.unit(1, 1, 1)
 
     def test_scalar_division(self):
         alg = MatrixUnitAlgebra(2)
-        value = parse_entry_expression("E(1,1,1)/2", alg, {})
+        value = entry("E(1,1,1)/2", alg, {})
         assert value == alg.unit(1, 1, 1) * Fraction(1, 2)
 
     def test_pure_scalars(self):
-        assert parse_entry_expression("3*4 - 2") == Fraction(10)
-        assert parse_entry_expression("(1 - 3)/4") == Fraction(-1, 2)
+        assert entry("3*4 - 2") == Fraction(10)
+        assert entry("(1 - 3)/4") == Fraction(-1, 2)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            parse_entry_expression("k + 1", env={"i": Fraction(1)})
+            entry("k + 1", env={"i": Fraction(1)})
 
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
-            parse_entry_expression("open('x')")
+            entry("open('x')")
 
     def test_attribute_access_rejected(self):
         with pytest.raises(ValueError):
-            parse_entry_expression("(1).__class__")
+            entry("(1).__class__")
 
     def test_float_literal_rejected(self):
         with pytest.raises(ValueError):
-            parse_entry_expression("1.5")
+            entry("1.5")
 
     def test_wrong_arity_e_rejected(self):
         alg = MatrixUnitAlgebra(2)
         with pytest.raises(ValueError):
-            parse_entry_expression("E(1,2)", alg)
+            entry("E(1,2)", alg)
 
     def test_e_without_algebra_rejected(self):
         with pytest.raises(ValueError):
-            parse_entry_expression("E(1,2,1)")
+            entry("E(1,2,1)")
 
     def test_parse_scalar_forms(self):
         assert parse_scalar(5) == GaussianRational(Fraction(5))
@@ -569,7 +581,37 @@ class TestParsing:
     def test_division_by_element_rejected(self):
         alg = MatrixUnitAlgebra(2)
         with pytest.raises(ValueError):
-            parse_entry_expression("2/E(1,1,1)", alg)
+            entry("2/E(1,1,1)", alg)
+
+    def test_scalar_next_to_ring_value_is_a_multiple_of_one(self):
+        alg = MatrixUnitAlgebra(2)
+        unit = alg.unit(1, 1, 2)
+        assert entry("E(1,1,2) + 2", alg) == unit + alg.one() * 2
+        assert entry("1 - E(1,1,2)", alg) == alg.one() - unit
+        assert entry("2 * E(1,1,2) * 3", alg) == unit * 6
+        assert entry("E(1,1,2)**0", alg) == alg.one()
+        assert entry("5", alg) == alg.one() * 5
+
+    def test_exponents_are_bounded_literals(self):
+        assert entry(f"2**{MAX_EXPONENT}") == Fraction(2**MAX_EXPONENT)
+        for text in (f"2**{MAX_EXPONENT + 1}", "2**-1", "2**(1+1)", "(2**2)**2",
+                     "(1 + 2**8)**8", "2**8**8", "2**True"):
+            with pytest.raises(ValueError):
+                parse_expression(text, ())
+
+    def test_nesting_is_bounded(self):
+        assert entry("+".join(["1"] * MAX_DEPTH)) == MAX_DEPTH
+        for text in ("+".join(["1"] * 2000), "+".join(["1"] * 30000), "-" * 300 + "1"):
+            with pytest.raises(ValueError):
+                parse_expression(text, ())
+
+    def test_domain_errors_are_value_errors(self):
+        alg = MatrixUnitAlgebra(2)
+        env = {"i": Fraction(1), "j": Fraction(2), "E": alg.unit}
+        for text in ("E(3, i, j)", "E(1, j, i + 2)", "E(1, i/2, j)", "E(1, j)",
+                     "E + 1", "j(1)", "E(1, i, j) / 0", "E(1, i, j) / E(1, j, i)"):
+            with pytest.raises(ValueError):
+                evaluate_expression(parse_expression(text, env), env, alg.one())
 
 
 def test_expectation_matches_embedding_trace():
