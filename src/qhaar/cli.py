@@ -21,6 +21,7 @@ from pathlib import Path
 from .exactalg import GaussianRational, RationalFunction, laurent_at_infinity
 from .freeness import (
     CROSSING_PAIRING,
+    MAX_N,
     counterexample,
     crossing_pairing_present,
     lhs_exact,
@@ -78,6 +79,13 @@ def _n_range(args, default_lo: int, default_hi: int) -> range:
     if hi < lo:
         raise UsageError("--n-max: must be at least --n-min")
     return range(lo, hi + 1)
+
+
+def _require_at_most_max_n(rng) -> None:
+    if max(rng) > MAX_N:
+        raise UsageError(
+            f"--n-max: capped at {MAX_N} to keep exact evaluation tractable"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,7 @@ def _cmd_freeness(args):
     n_range = scenario.n_range
     if args.n_min is not None or args.n_max is not None:
         n_range = _n_range(args, scenario.n_range[0], scenario.n_range[-1])
+        _require_at_most_max_n(n_range)
     try:
         report = scenario.report(n_range=n_range)
     except ZeroDivisionError as exc:
@@ -207,8 +216,7 @@ def _cmd_counterexample(args):
     rng = _n_range(args, 4, 8)
     if min(rng) < 3:
         raise UsageError("--n-min: the length-6 classical table needs N >= 3")
-    if max(rng) > 16:
-        raise UsageError("--n-max: capped at 16 to keep exact evaluation tractable")
+    _require_at_most_max_n(rng)
     rows = []
     ok = True
     for n in rng:

@@ -94,6 +94,8 @@ __all__ = [
 ]
 
 MULTI_LABEL_CAP = 6
+# the largest matrix size a scenario or a command may ask for
+MAX_N = 16
 # the names a matrix_unit_pattern entry may use
 ENTRY_NAMES = ("i", "j", "N", "E")
 
@@ -923,6 +925,8 @@ def load_scenario(source) -> Scenario:
         or rng[1] < rng[0]
     ):
         raise ValueError("n_range must be [lo, hi] with 2 <= lo <= hi")
+    if rng[1] > MAX_N:
+        raise ValueError(f"n_range: sizes are capped at {MAX_N}, got {rng[1]}")
     n_range = tuple(range(rng[0], rng[1] + 1))
     degrees = (8, 8)
     if "degrees" in data:
@@ -951,11 +955,17 @@ def load_scenario(source) -> Scenario:
 def finite_dim_scenario(d: int, n_range=None, seed: int = 7) -> ConvergenceReport:
     """Classical-flavor convergence of a random bounded dense-constant family.
 
-    Builds two circulant families with fixed random d x d blocks, runs the
-    rotated length-3 word under classical Haar letters, and reports against
-    the limit formula; with a finite-dimensional coefficient algebra the
-    classical letters already achieve the O(N^-2) rate.
+    Runs the rotated length-3 word of _finite_dim_spec under classical Haar
+    letters and reports against the limit formula; with a finite-dimensional
+    coefficient algebra the classical letters already achieve the O(N^-2)
+    rate.
     """
+    return _finite_dim_spec(d, n_range, seed).report()
+
+
+def _finite_dim_spec(d: int, n_range=None, seed: int = 7) -> Scenario:
+    """The scenario of finite_dim_scenario: two circulant families with fixed
+    random d x d blocks."""
     if not 1 <= d <= 3:
         raise ValueError("the dense dimension must be 1, 2, or 3")
     # classical 6-letter Weingarten entries have poles at N = 1, 2; starting
@@ -988,7 +998,7 @@ def finite_dim_scenario(d: int, n_range=None, seed: int = 7) -> ConvergenceRepor
         (1, "1", "A"),
         (1, "*", "B"),
     )
-    scenario = Scenario(
+    return Scenario(
         name=f"finite-dim-d{d}",
         flavor="classical",
         kind="dense",
@@ -997,7 +1007,6 @@ def finite_dim_scenario(d: int, n_range=None, seed: int = 7) -> ConvergenceRepor
         word=word,
         n_range=ns,
     )
-    return scenario.report()
 
 
 # ---------------------------------------------------------------------------

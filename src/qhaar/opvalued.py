@@ -16,7 +16,9 @@ N x N matrix-unit systems, with finitely supported coordinates).
 from __future__ import annotations
 
 import ast
+import math
 import operator
+import string
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import reduce
@@ -586,15 +588,103 @@ def constrained_sum(constraint: Partition, args):
 
     The 2m slots are the row and column indices in order (slot 2k-1 is A(k)'s
     row, slot 2k its column); the sum runs over all tuples i whose kernel is
-    refined by the constraint.  Computed by a transfer scan over the factors:
-    states assign indices to the constraint blocks still in scope, and blocks
-    whose last slot has passed are dropped so states merge.  Enumeration order
-    is fixed, so results are reproducible term for term.
+    refined by the constraint.  Over a DenseAlgebra the sum is one exact
+    integer tensor contraction (_tensor_sum); otherwise, and when einsum runs
+    out of subscripts, it is the transfer scan (_scan_sum), which also serves
+    as the oracle for the tensor route.
     """
     args = _check_args(args)
     m = len(args)
     if constraint.size != 2 * m:
         raise ValueError(f"constraint must partition {2 * m} slots")
+    if (
+        isinstance(args[0].algebra, DenseAlgebra)
+        and len(constraint.blocks) + m + 1 <= len(_SUBSCRIPTS)
+    ):
+        return _tensor_sum(constraint, args)
+    return _scan_sum(constraint, args)
+
+
+# einsum names its axes by single ASCII letters
+_SUBSCRIPTS = string.ascii_letters
+# intermediate size cap for einsum's greedy path; numpy's default (the size
+# of the largest input) forces the naive contraction on cyclic slot patterns
+_EINSUM_MEMORY = 10**6
+
+
+def _integer_tensor(a: BMatrix) -> tuple[np.ndarray, int]:
+    """L times a's entries in real 2d x 2d form, as Python ints, and L.
+
+    L is the lcm of the denominators of all real and imaginary parts; the
+    tensor has shape (N, N, 2d, 2d) with block [[re, -im], [im, re]].
+    """
+    parts = [(v.re, v.im) for row in a.rows for x in row for r in x.rows for v in r]
+    scale = math.lcm(*(f.denominator for pair in parts for f in pair))
+    n, d = a.size, a.algebra.dim
+    ints = np.array(
+        [[f.numerator * (scale // f.denominator) for f in pair] for pair in parts],
+        dtype=object,
+    )
+    re, im = ints[:, 0].reshape(n, n, d, d), ints[:, 1].reshape(n, n, d, d)
+    out = np.empty((n, n, 2 * d, 2 * d), dtype=object)
+    out[:, :, :d, :d] = re
+    out[:, :, :d, d:] = -im
+    out[:, :, d:, :d] = im
+    out[:, :, d:, d:] = re
+    return out, scale
+
+
+def _tensor_sum(constraint: Partition, args) -> DenseElement:
+    """The constrained sum as one einsum over exact integer tensors.
+
+    Factor k carries the subscripts (block of slot 2k-1, block of slot 2k,
+    chain k-1, chain k); contracting the chain multiplies the d x d blocks in
+    order, and repeating a block's subscript imposes its index equalities.
+    Python ints keep every value exact; the scales divide out at the end.
+    """
+    m = len(args)
+    nblocks = len(constraint.blocks)
+    block_of = {s: bid for bid, block in enumerate(constraint.blocks) for s in block}
+    chain = _SUBSCRIPTS[nblocks:nblocks + m + 1]
+    tensors: dict[int, tuple[np.ndarray, int]] = {}
+    operands, terms = [], []
+    denominator = 1
+    for k, factor in enumerate(args, start=1):
+        if id(factor) not in tensors:
+            tensors[id(factor)] = _integer_tensor(factor)
+        tensor, scale = tensors[id(factor)]
+        operands.append(tensor)
+        denominator *= scale
+        terms.append(
+            _SUBSCRIPTS[block_of[2 * k - 1]] + _SUBSCRIPTS[block_of[2 * k]]
+            + chain[k - 1] + chain[k]
+        )
+    spec = ",".join(terms) + "->" + chain[0] + chain[m]
+    total = np.einsum(spec, *operands, optimize=("greedy", _EINSUM_MEMORY))
+    d = args[0].algebra.dim
+    return DenseElement(
+        d,
+        tuple(
+            tuple(
+                GaussianRational(
+                    Fraction(total[a, b], denominator),
+                    Fraction(total[d + a, b], denominator),
+                )
+                for b in range(d)
+            )
+            for a in range(d)
+        ),
+    )
+
+
+def _scan_sum(constraint: Partition, args):
+    """The constrained sum by a transfer scan over the factors.
+
+    States assign indices to the constraint blocks still in scope, and blocks
+    whose last slot has passed are dropped so states merge.  Enumeration order
+    is fixed, so results are reproducible term for term.
+    """
+    m = len(args)
     algebra = args[0].algebra
     n = args[0].size
     block_of = {}

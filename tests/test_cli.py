@@ -67,6 +67,8 @@ BAD_SCENARIOS = [
     ("explicit-wrong-shape",
      {"families": {"A": {"constructor": "explicit", "matrices": {"2": [[[["1"]]]]}}}},
      "family A: the explicit matrix for N = 2 must be 2x2"),
+    ("n-range-over-cap", {"n_range": [2, 1000000000]},
+     "n_range: sizes are capped at 16, got 1000000000"),
 ]
 
 
@@ -322,6 +324,19 @@ class TestFreeness:
         assert code == 2
         assert out == ""
         assert err == "error: --n-min: denominator vanishes at n = 2\n"
+
+    def test_n_max_over_cap(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "freeness",
+                "--scenario", str(SCENARIO_DIR / "dense_circulant.json"),
+                "--n-max", "17",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-max: capped at 16 to keep exact evaluation tractable\n"
 
     @pytest.mark.parametrize(
         "patch, message",

@@ -4,11 +4,21 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qhaar import opvalued
 from qhaar.exactalg import GaussianRational
+from qhaar.freeness import (
+    MixedWord,
+    UnitaryLetter,
+    _finite_dim_spec,
+    _pair_weights,
+    _slot_partition,
+    load_scenario,
+)
 from qhaar.opvalued import (
     MAX_DEPTH,
     MAX_EXPONENT,
@@ -23,8 +33,12 @@ from qhaar.opvalued import (
     norm_check,
     parse_expression,
     parse_scalar,
+    _scan_sum,
 )
 from qhaar.partitions import Partition, enumerate_family, fatten, fatten_extended, interleave, kreweras, leq
+from qhaar.weingarten import SignPattern
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def rand_gauss(rng: random.Random) -> GaussianRational:
@@ -379,6 +393,105 @@ class TestConstrainedSum:
         args = [rand_bmatrix(rng, alg, 2) for _ in range(2)]
         with pytest.raises(ValueError):
             constrained_sum(Partition.full(6), args)
+
+
+def rand_sparse_bmatrix(rng, alg, size):
+    """A random matrix over a dense algebra with about a third of its cells zero."""
+    zero = alg.zero()
+    return BMatrix(
+        alg,
+        [
+            [zero if rng.random() < 0.3 else rand_dense(rng, alg) for _ in range(size)]
+            for _ in range(size)
+        ],
+    )
+
+
+def slot_partitions(word: MixedWord):
+    weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
+    return [_slot_partition(word, p, q) for p, q in weights]
+
+
+def assert_tensor_matches_scan(word: MixedWord):
+    factors = word.all_factors()
+    for constraint in slot_partitions(word):
+        assert constrained_sum(constraint, factors) == _scan_sum(constraint, factors)
+
+
+class TestTensorSum:
+    """The dense einsum route equals the transfer scan, its oracle, exactly."""
+
+    def test_every_slot_partition(self):
+        for n in (1, 2, 3):
+            for d in (1, 2, 3):
+                alg = DenseAlgebra(d)
+                rng = random.Random(100 * n + d)
+                for m in (1, 2, 3):
+                    args = [rand_sparse_bmatrix(rng, alg, n) for _ in range(m)]
+                    # a repeated factor shares one integer tensor
+                    args[-1] = args[0]
+                    for constraint in enumerate_family("all", 2 * m):
+                        assert constrained_sum(constraint, args) == _scan_sum(
+                            constraint, args
+                        )
+
+    def test_all_zero_factor(self):
+        alg = DenseAlgebra(2)
+        rng = random.Random(41)
+        args = [rand_bmatrix(rng, alg, 2), BMatrix.zero(alg, 2)]
+        for constraint in enumerate_family("all", 4):
+            assert constrained_sum(constraint, args) == alg.zero()
+
+    def test_random_words(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            flavor = rng.choice(("quantum", "classical"))
+            half = rng.randint(1, 3)
+            # six-letter words stay at N = 2 and d = 1, where the scan oracle
+            # takes milliseconds
+            n = 2 if half == 3 else rng.choice((2, 3))
+            alg = DenseAlgebra(1 if half == 3 else rng.choice((1, 2)))
+            signs = ["1"] * half + ["*"] * half
+            rng.shuffle(signs)
+            labels = (1, 2) if flavor == "quantum" else (1,)
+            letters = tuple(
+                UnitaryLetter(rng.choice(labels), sign, rand_sparse_bmatrix(rng, alg, n))
+                for sign in signs
+            )
+            lead = rand_sparse_bmatrix(rng, alg, n) if rng.random() < 0.5 else None
+            assert_tensor_matches_scan(MixedWord(flavor, letters, lead=lead))
+
+    def test_shipped_dense_scenarios(self):
+        for name in ("dense_circulant", "diagonal_pattern"):
+            scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+            for n in range(2, 7):
+                assert_tensor_matches_scan(scenario.word_at(n))
+
+    def test_finite_dim_scenario_cells(self):
+        # at N = 3 each of the three circulant cells has its own diagonal;
+        # d = 3 runs at N = 2, where the scan oracle takes a second, not eight
+        for d, n in ((1, 3), (2, 3), (3, 2)):
+            assert_tensor_matches_scan(_finite_dim_spec(d).word_at(n))
+
+    @pytest.mark.parametrize(
+        "m, refused", [(18, "_tensor_sum"), (17, "_scan_sum")], ids=["55-axes", "52-axes"]
+    )
+    def test_subscript_limit_picks_the_route(self, monkeypatch, m, refused):
+        # 2m singleton blocks, m factors and one chain end: 55 axes for 18
+        # factors are more than einsum's 52 letters, 52 for 17 factors fit
+        alg = DenseAlgebra(1)
+        rng = random.Random(43)
+        args = [rand_bmatrix(rng, alg, 1) for _ in range(m)]
+        constraint = Partition.from_text(
+            "{" + ",".join(f"{{{s}}}" for s in range(1, 2 * m + 1)) + "}"
+        )
+        expected = _scan_sum(constraint, args)
+
+        def refuse(*_):
+            raise AssertionError(f"{refused} must not run for {m} factors")
+
+        monkeypatch.setattr(opvalued, refused, refuse)
+        assert constrained_sum(constraint, args) == expected
 
 
 class TestFlipMatrixFacts:
