@@ -160,7 +160,9 @@ def _cmd_moment(args):
     values = None
     if args.n_min is not None or args.n_max is not None:
         values = {}
-        for n in _n_range(args, 2, 8):
+        rng = _n_range(args, 2, 8)
+        _require_at_most_max_n(rng)
+        for n in rng:
             try:
                 values[str(n)] = str(f.evaluate(n))
             except ZeroDivisionError:

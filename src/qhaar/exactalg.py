@@ -489,15 +489,18 @@ class RationalFunction:
 
 
 def _pexact_div(a, b) -> tuple[int, ...]:
-    """Exact division of integer polynomials (caller guarantees divisibility)."""
+    """Exact division of integer polynomials by a primitive divisor.
+
+    By Gauss's lemma a primitive b that divides a over Q divides it over Z,
+    so every quotient digit is an integer; anything else is an error.
+    """
     a = list(a)
     db, lb = _pdeg(b), b[-1]
     out = [0] * (len(a) - db)
     for k in range(len(out) - 1, -1, -1):
         c = a[k + db]
         if c % lb != 0:
-            # divisibility holds only up to rational scalars; fall back
-            return _pexact_div_fraction(tuple(a), b)
+            raise ArithmeticError("inexact polynomial division")
         q = c // lb
         out[k] = q
         for t in range(db + 1):
@@ -505,23 +508,6 @@ def _pexact_div(a, b) -> tuple[int, ...]:
     if any(a):
         raise ArithmeticError("inexact polynomial division")
     return _pstrip(out)
-
-
-def _pexact_div_fraction(a, b) -> tuple[int, ...]:
-    av = [Fraction(c) for c in a]
-    db, lb = _pdeg(b), Fraction(b[-1])
-    out = [Fraction(0)] * (len(av) - db)
-    for k in range(len(out) - 1, -1, -1):
-        q = av[k + db] / lb
-        out[k] = q
-        for t in range(db + 1):
-            av[k + t] -= q * b[t]
-    if any(av):
-        raise ArithmeticError("inexact polynomial division")
-    lcm = 1
-    for q in out:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    return _pstrip([int(q * lcm) for q in out])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .exactalg import (
     GaussianRational,
@@ -553,23 +553,21 @@ def _n2_bounded(rows) -> bool:
     return tail <= N2_GROWTH_FACTOR * head
 
 
-def convergence_report(source, n_range, reference=None) -> ConvergenceReport:
+def convergence_report(word_at, n_range) -> ConvergenceReport:
     """Evaluate a word family over an N range and diagnose the decay rate.
 
-    source is a callable N -> MixedWord (a Scenario works too); reference is
-    an optional callable N -> limit element, defaulting to limit_formula of
-    the quantum version of each word.  Rows come in increasing N order.
+    word_at is a callable N -> MixedWord; each value is compared with
+    limit_formula of the quantum version of its word.  Rows come in
+    increasing N order.
     """
     ns = sorted({int(n) for n in n_range})
     if not ns:
         raise ValueError("empty N range")
-    word_at = source.word_at if isinstance(source, Scenario) else source
 
     def row(n: int) -> ReportRow:
         word = word_at(n)
         value = lhs_exact(word, n)
-        ref = reference(n) if reference is not None else limit_formula(word.as_quantum())
-        delta = word.algebra.norm_float(value - ref)
+        delta = word.algebra.norm_float(value - limit_formula(word.as_quantum()))
         return ReportRow(n, value, delta, float(n * n) * delta)
 
     rows = [row(n) for n in ns]
@@ -783,7 +781,7 @@ class Scenario:
         return MixedWord(self.flavor, tuple(letters))
 
     def report(self, n_range=None) -> ConvergenceReport:
-        return convergence_report(self, self.n_range if n_range is None else n_range)
+        return convergence_report(self.word_at, self.n_range if n_range is None else n_range)
 
 
 @contextmanager
@@ -1013,49 +1011,20 @@ def _finite_dim_spec(d: int, n_range=None, seed: int = 7) -> Scenario:
 # Laurent moments and infinitesimal structure
 
 
-def _falling(n: int, r: int) -> int:
-    out = 1
-    for t in range(r):
-        out *= n - t
-    return out
-
-
-def _matrix_unit_profile(algebra: MatrixUnitAlgebra, x: MatrixUnitElement) -> dict:
-    """Coefficient of x on each index-kernel class, verifying symmetry.
-
-    The coordinates of a permutation-invariant element depend only on the
-    kernel of the index quadruple; any coordinate disagreeing with its class,
-    or a class with missing members, fails the check.
-    """
-    coeffs: dict[Partition, GaussianRational] = {}
-    counts: dict[Partition, int] = {}
-    for quad, v in x.terms.items():
-        kap = kernel(quad)
-        cur = coeffs.get(kap)
-        if cur is None:
-            coeffs[kap] = v
-            counts[kap] = 1
-        elif cur != v:
-            raise ValueError("value is not invariant under index permutations")
-        else:
-            counts[kap] += 1
-    for kap, cnt in counts.items():
-        if cnt != _falling(algebra.n, len(kap.blocks)):
-            raise ValueError("value is not invariant under index permutations")
-    return coeffs
-
-
-@dataclass
+@dataclass(frozen=True)
 class ConstantPattern:
-    """A size-independent element: dense coordinates, or one coefficient per
-    index-kernel class for the matrix-unit algebra."""
+    """A size-independent element: its coordinates under the algebra's
+    components (dense entries, or matrix-unit kernel classes)."""
 
     kind: str
     dim: int | None
     entries: dict
 
     def __post_init__(self) -> None:
-        self.entries = {k: v for k, v in self.entries.items() if v}
+        object.__setattr__(self, "entries", {k: v for k, v in self.entries.items() if v})
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.dim, frozenset(self.entries.items())))
 
     def _match(self, other: "ConstantPattern") -> None:
         if self.kind != other.kind or self.dim != other.dim:
@@ -1086,36 +1055,7 @@ class ConstantPattern:
 
     def value_element(self, algebra: CoefficientAlgebra):
         """Realize the pattern inside a concrete algebra instance."""
-        if self.kind == "dense":
-            return algebra.from_components(dict(self.entries))
-        n = algebra.n
-        comps: dict = {}
-        for kap, v in self.entries.items():
-            r = len(kap.blocks)
-            if r > n:
-                continue
-            block_of = {}
-            for t, block in enumerate(kap.blocks):
-                for pos in block:
-                    block_of[pos] = t
-            shape = tuple(block_of[pos] for pos in range(1, 5))
-            for vals in itertools.permutations(range(1, n + 1), r):
-                comps[tuple(vals[t] for t in shape)] = v
-        return algebra.from_components(comps)
-
-
-def _one_pattern(kind: str, dim: int | None) -> ConstantPattern:
-    if kind == "dense":
-        one = GaussianRational.one()
-        return ConstantPattern(kind, dim, {(t, t): one for t in range(dim)})
-    return ConstantPattern(
-        kind,
-        None,
-        {
-            Partition.from_text("{{1,2},{3,4}}"): GaussianRational.one(),
-            Partition.from_text("{{1,2,3,4}}"): GaussianRational.one(),
-        },
-    )
+        return algebra.from_components(self.entries)
 
 
 def _series_abs(f: RationalFunction, shift: int) -> Fraction:
@@ -1139,22 +1079,14 @@ class MomentPattern:
     entries: dict
     samples: tuple[int, ...]
 
-    def value_at(self, n: int, algebra: CoefficientAlgebra | None = None):
-        """Evaluate every entry at a concrete size and assemble the element."""
-        if algebra is None:
-            algebra = DenseAlgebra(self.dim) if self.kind == "dense" else MatrixUnitAlgebra(n)
-        if self.kind == "dense":
-            comps = {}
-            for key, (re, im) in self.entries.items():
-                g = GaussianRational(re.evaluate(n), im.evaluate(n))
-                if g:
-                    comps[key] = g
-            return algebra.from_components(comps)
-        coeffs = {
-            key: GaussianRational(re.evaluate(n), im.evaluate(n))
-            for key, (re, im) in self.entries.items()
-        }
-        return ConstantPattern(self.kind, None, coeffs).value_element(algebra)
+    def value_at(self, n: int, algebra: CoefficientAlgebra):
+        """Evaluate every entry at size n and assemble the element of algebra."""
+        comps = {}
+        for key, (re, im) in self.entries.items():
+            g = GaussianRational(re.evaluate(n), im.evaluate(n))
+            if g:
+                comps[key] = g
+        return algebra.from_components(comps)
 
     def series_constant(self, shift: int) -> ConstantPattern:
         """Laurent coefficient of N^-shift of every entry, as a pattern."""
@@ -1170,8 +1102,8 @@ def laurent_moments(word_at, samples, kind: str, dim: int | None = None,
                     degrees: tuple[int, int] = (8, 8)) -> MomentPattern:
     """Interpolate the exact values of a word family as rational functions.
 
-    word_at maps a size to a MixedWord; every entry (dense coordinate, or
-    matrix-unit kernel class) is fitted through the samples with the supplied
+    word_at maps a size to a MixedWord; every coordinate of the value under
+    its algebra's components is fitted through the samples with the supplied
     degree bounds and re-verified, so an under-bounded scenario fails loudly
     instead of returning a wrong expansion.
     """
@@ -1181,17 +1113,10 @@ def laurent_moments(word_at, samples, kind: str, dim: int | None = None,
         raise ValueError(
             f"need at least {num + den + 2} samples for degrees ({num},{den})"
         )
-    if kind == "matrix_unit" and ns[0] < 4:
-        raise ValueError("matrix-unit sampling starts at N = 4")
     per_key: dict = {}
     for n in ns:
         word = word_at(n)
-        value = lhs_exact(word, n)
-        if kind == "dense":
-            comps = word.algebra.components(value)
-        else:
-            comps = _matrix_unit_profile(word.algebra, value)
-        for key, v in comps.items():
+        for key, v in word.algebra.components(lhs_exact(word, n)).items():
             per_key.setdefault(key, {})[n] = v
     entries = {}
     zero = GaussianRational.zero()
@@ -1239,20 +1164,6 @@ def _scalar_matrix(algebra: CoefficientAlgebra, n: int, element) -> BMatrix:
     return BMatrix.identity(algebra, n).left_mul(element)
 
 
-def _pattern_key(p: ConstantPattern | None):
-    if p is None:
-        return None
-    return (
-        p.kind,
-        p.dim,
-        tuple(sorted((str(k), str(v)) for k, v in p.entries.items())),
-    )
-
-
-def _token_key(tok: "WordToken"):
-    return (tok.kind, tok.symbol, _pattern_key(tok.center), _pattern_key(tok.pattern))
-
-
 @dataclass
 class InfinitesimalPair:
     """Exact evaluators (E, E') for words over one scenario.
@@ -1266,15 +1177,16 @@ class InfinitesimalPair:
     _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, n_min: int | None = None,
-                      count: int | None = None) -> "InfinitesimalPair":
+    def from_scenario(cls, scenario: Scenario) -> "InfinitesimalPair":
+        # matrix-unit coordinates exist from N = 4 on
         num, den = scenario.degrees
-        lo = n_min if n_min is not None else (4 if scenario.kind == "matrix_unit" else 2)
-        k = count if count is not None else num + den + 4
-        return cls(scenario, tuple(range(lo, lo + k)))
+        return cls(scenario, tuple(range(4, 4 + num + den + 4)))
 
     def one_pattern(self) -> ConstantPattern:
-        return _one_pattern(self.scenario.kind, self.scenario.dim)
+        algebra = self.scenario.algebra(self.samples[0])
+        return ConstantPattern(
+            self.scenario.kind, self.scenario.dim, algebra.components(algebra.one())
+        )
 
     def realize(self, tokens, n: int) -> MixedWord:
         """Assemble the tokens into a mixed word at one concrete size.
@@ -1303,26 +1215,13 @@ class InfinitesimalPair:
                 raise ValueError(f"unknown token kind: {tok.kind}")
         stack: list = []
         for item in seq:
-            cur = item
-            while cur is not None:
-                if (
-                    stack
-                    and isinstance(cur, tuple)
-                    and isinstance(stack[-1], tuple)
-                    and stack[-1][1] != cur[1]
-                ):
-                    stack.pop()
-                    cur = None
-                elif (
-                    stack
-                    and not isinstance(cur, tuple)
-                    and not isinstance(stack[-1], tuple)
-                ):
-                    prev = stack.pop()
-                    cur = prev @ cur
-                else:
-                    stack.append(cur)
-                    cur = None
+            top = stack[-1] if stack else None
+            if isinstance(item, tuple) and isinstance(top, tuple) and top[1] != item[1]:
+                stack.pop()
+            elif top is not None and not isinstance(item, tuple) and not isinstance(top, tuple):
+                stack[-1] = top @ item
+            else:
+                stack.append(item)
         ident = BMatrix.identity(algebra, n)
         lead = None
         idx = 0
@@ -1344,9 +1243,8 @@ class InfinitesimalPair:
         return MixedWord(self.scenario.flavor, tuple(letters), lead)
 
     def moments(self, tokens) -> MomentPattern:
-        tokens = list(tokens)
-        key = tuple(_token_key(tok) for tok in tokens)
-        cached = self._cache.get(key)
+        tokens = tuple(tokens)
+        cached = self._cache.get(tokens)
         if cached is None:
             cached = laurent_moments(
                 lambda n: self.realize(tokens, n),
@@ -1355,7 +1253,7 @@ class InfinitesimalPair:
                 self.scenario.dim,
                 self.scenario.degrees,
             )
-            self._cache[key] = cached
+            self._cache[tokens] = cached
         return cached
 
     def e_value(self, tokens) -> ConstantPattern:

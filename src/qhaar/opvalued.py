@@ -10,12 +10,15 @@ check for such sums.
 
 Two algebra instances are provided: DenseAlgebra (d x d matrices over Q(i))
 and MatrixUnitAlgebra (the span of products E_ab(1) E_cd(2) of two commuting
-N x N matrix-unit systems, with finitely supported coordinates).
+N x N matrix-unit systems).  Each algebra owns its size-independent
+coordinates: matrix entries for DenseAlgebra, and one coefficient per index
+kernel class of a permutation-invariant element for MatrixUnitAlgebra.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import operator
 import string
@@ -27,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exactalg import GaussianRational
-from .partitions import Partition, enumerate_family, leq, mobius
+from .partitions import Partition, enumerate_family, kernel, leq, mobius
 
 __all__ = [
     "CoefficientAlgebra",
@@ -82,11 +85,11 @@ class CoefficientAlgebra(ABC):
 
     @abstractmethod
     def components(self, x) -> dict:
-        """Exact coordinates of x in the distinguished basis, zero-free."""
+        """Exact size-independent coordinates of x, zero-free."""
 
     @abstractmethod
     def from_components(self, comps: dict):
-        ...
+        """The element with the given coordinates; inverse of components."""
 
     def scalar(self, c):
         return self.one() * _as_gauss(c)
@@ -370,10 +373,42 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         return out
 
     def components(self, x: MatrixUnitElement) -> dict:
-        return dict(x.terms)
+        """Coefficient of x on each kernel class of its index quadruples.
+
+        An element invariant under simultaneous permutation of the indices
+        has one size-independent coefficient per class, keyed by the
+        Partition of the four index positions.  Raises ValueError for an
+        element that is not invariant, and below N = 4, where not every class
+        has members.
+        """
+        if self.n < 4:
+            raise ValueError("matrix-unit coordinates need N >= 4")
+        coeffs: dict[Partition, GaussianRational] = {}
+        counts: dict[Partition, int] = {}
+        for quad, v in x.terms.items():
+            kap = kernel(quad)
+            if coeffs.setdefault(kap, v) != v:
+                raise ValueError("value is not invariant under index permutations")
+            counts[kap] = counts.get(kap, 0) + 1
+        for kap, cnt in counts.items():
+            if cnt != math.perm(self.n, len(kap.blocks)):
+                raise ValueError("value is not invariant under index permutations")
+        return coeffs
 
     def from_components(self, comps: dict) -> MatrixUnitElement:
-        return MatrixUnitElement(self.n, {k: _as_gauss(v) for k, v in comps.items()})
+        """Expand kernel-class coefficients over the injective index maps;
+        a class with more blocks than N has no members."""
+        n = self.n
+        terms = {}
+        for kap, v in comps.items():
+            r = len(kap.blocks)
+            if r > n:
+                continue
+            block_of = {pos: t for t, block in enumerate(kap.blocks) for pos in block}
+            g = _as_gauss(v)
+            for vals in itertools.permutations(range(1, n + 1), r):
+                terms[tuple(vals[block_of[pos]] for pos in range(1, 5))] = g
+        return MatrixUnitElement(n, terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MatrixUnitAlgebra) and other.n == self.n

@@ -470,12 +470,6 @@ class PartitionFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, p: Partition) -> bool:
-        return p in self.members
-
-    def index(self, p: Partition) -> int:
-        return self.members.index(p)
-
 
 def enumerate_family(kind: str, k: int, eps: SignPattern | None = None) -> PartitionFamily:
     """Enumerate one of the partition families, in canonical lexicographic order.

@@ -241,6 +241,15 @@ class TestMoment:
         assert code == 2
         assert "--n-max" in err
 
+    def test_n_max_over_cap(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["moment", "--m", "1", "--n-min", "2", "--n-max", "17"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-max: capped at 16 to keep exact evaluation tractable\n"
+
 
 class TestFreeness:
     def test_quantum_flip_converges(self, capsys):

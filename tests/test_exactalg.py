@@ -14,6 +14,7 @@ from qhaar.exactalg import (
     RationalFunction,
     SingularMatrixError,
     interpolate_rational,
+    _pexact_div,
     laurent_at_infinity,
 )
 
@@ -163,6 +164,14 @@ def realified(rows):
     top = [r + [-x for x in i] for r, i in zip(re, im)]
     bottom = [i + r for r, i in zip(re, im)]
     return FieldMatrix(tuple(tuple(RF.from_int(x) for x in row) for row in top + bottom))
+
+
+def test_exact_division_rejects_a_non_integral_quotient():
+    # dividing by the primitive gcd always leaves integer digits; any other
+    # remainder is an arithmetic error, not a rational fallback
+    assert _pexact_div((2, 4), (1, 2)) == (2,)
+    with pytest.raises(ArithmeticError):
+        _pexact_div((1,), (2,))
 
 
 class TestFieldMatrix:

@@ -17,6 +17,7 @@ from qhaar.freeness import (
     _finite_dim_spec,
     _pair_weights,
     _slot_partition,
+    lhs_exact,
     load_scenario,
 )
 from qhaar.opvalued import (
@@ -25,6 +26,7 @@ from qhaar.opvalued import (
     BMatrix,
     DenseAlgebra,
     MatrixUnitAlgebra,
+    MatrixUnitElement,
     constrained_sum,
     cumulant_k,
     evaluate_expression,
@@ -59,7 +61,7 @@ def rand_matrix_unit(rng: random.Random, alg: MatrixUnitAlgebra):
     for _ in range(4):
         key = tuple(rng.randint(1, alg.n) for _ in range(4))
         terms[key] = rand_gauss(rng)
-    return alg.from_components(terms)
+    return MatrixUnitElement(alg.n, terms)
 
 
 def rand_element(rng, alg):
@@ -122,12 +124,41 @@ class TestDenseAlgebra:
 
 class TestMatrixUnitAlgebra:
     def test_product_rule(self):
-        alg = MatrixUnitAlgebra(3)
-        a = alg.from_components({(1, 2, 3, 1): 1})
-        b = alg.from_components({(2, 3, 1, 2): 1})
-        assert a * b == alg.from_components({(1, 3, 3, 2): 1})
-        c = alg.from_components({(3, 3, 1, 2): 1})
+        one = GaussianRational.one()
+        a = MatrixUnitElement(3, {(1, 2, 3, 1): one})
+        b = MatrixUnitElement(3, {(2, 3, 1, 2): one})
+        assert a * b == MatrixUnitElement(3, {(1, 3, 3, 2): one})
+        c = MatrixUnitElement(3, {(3, 3, 1, 2): one})
         assert not (a * c)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_components_of_one_round_trip(self, n):
+        alg = MatrixUnitAlgebra(n)
+        one = GaussianRational.one()
+        assert alg.components(alg.one()) == {
+            Partition.from_text("{{1,2},{3,4}}"): one,
+            Partition.from_text("{{1,2,3,4}}"): one,
+        }
+        assert alg.from_components(alg.components(alg.one())) == alg.one()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_components_of_flip_value_round_trip(self, n):
+        scn = load_scenario(SCENARIO_DIR / "infinitesimal_flip.json")
+        word = scn.word_at(n)
+        value = lhs_exact(word, n)
+        comps = word.algebra.components(value)
+        assert comps and all(len(kap.blocks) <= 4 for kap in comps)
+        assert word.algebra.from_components(comps) == value
+
+    def test_components_need_four_indices(self):
+        alg = MatrixUnitAlgebra(3)
+        with pytest.raises(ValueError, match="N >= 4"):
+            alg.components(alg.one())
+
+    def test_from_components_skips_classes_larger_than_n(self):
+        alg = MatrixUnitAlgebra(3)
+        kap = Partition.from_text("{{1},{2},{3},{4}}")
+        assert alg.from_components({kap: 1}) == alg.zero()
 
     def test_systems_commute(self):
         alg = MatrixUnitAlgebra(2)
