@@ -13,6 +13,11 @@ and MatrixUnitAlgebra (the span of products E_ab(1) E_cd(2) of two commuting
 N x N matrix-unit systems).  Each algebra owns its size-independent
 coordinates: matrix entries for DenseAlgebra, and one coefficient per index
 kernel class of a permutation-invariant element for MatrixUnitAlgebra.
+
+Constrained sums take one of three exact routes: an integer tensor
+contraction over DenseAlgebra, loop counting over partition-algebra diagrams
+for permutation-invariant matrices over MatrixUnitAlgebra, and a transfer
+scan for everything else.  The scan is the oracle of the other two.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ import operator
 import string
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .exactalg import GaussianRational
-from .partitions import Partition, enumerate_family, kernel, leq, mobius
+from .partitions import Partition, enumerate_family, kernel, leq, mobius, mobius_full
 
 __all__ = [
     "CoefficientAlgebra",
@@ -137,6 +142,8 @@ class DenseElement:
             return DenseElement(
                 self.dim, tuple(tuple(v * c for v in r) for r in self.rows)
             )
+        if not isinstance(other, DenseElement):
+            return NotImplemented
         self._check(other)
         d = self.dim
         cols = tuple(zip(*other.rows))
@@ -301,7 +308,7 @@ class MatrixUnitElement:
             return MatrixUnitElement._raw(
                 self.n, {k: v * c for k, v in self.terms.items()}
             )
-        raise TypeError("matrix-unit elements of mismatched size")
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -328,6 +335,30 @@ class MatrixUnitElement:
     def __repr__(self) -> str:
         items = ", ".join(f"{k}: {v}" for k, v in sorted(self.terms.items()))
         return f"MatrixUnitElement({self.n}, {{{items}}})"
+
+
+def _orbit_coefficients(items, n: int) -> dict:
+    """One value per kernel class of the index tuples of an S_N-invariant map.
+
+    items yields (index tuple, value) pairs over 1..n, each tuple at most
+    once.  The map is invariant under simultaneous permutation of the
+    indices exactly when every class with a term has a single value and all
+    math.perm(n, blocks) members; otherwise this raises ValueError.  Classes
+    without terms have value zero and are left out.
+    """
+    coeffs: dict[tuple, GaussianRational] = {}
+    counts: dict[tuple, int] = {}
+    for idx, v in items:
+        # each position's first occurrence names the kernel class of idx
+        key = tuple(map(idx.index, idx))
+        first = coeffs.setdefault(key, v)
+        if first is not v and first != v:
+            raise ValueError("value is not invariant under index permutations")
+        counts[key] = counts.get(key, 0) + 1
+    for key, cnt in counts.items():
+        if cnt != math.perm(n, len(set(key))):
+            raise ValueError("value is not invariant under index permutations")
+    return {kernel(key): v for key, v in coeffs.items()}
 
 
 class MatrixUnitAlgebra(CoefficientAlgebra):
@@ -383,17 +414,7 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         """
         if self.n < 4:
             raise ValueError("matrix-unit coordinates need N >= 4")
-        coeffs: dict[Partition, GaussianRational] = {}
-        counts: dict[Partition, int] = {}
-        for quad, v in x.terms.items():
-            kap = kernel(quad)
-            if coeffs.setdefault(kap, v) != v:
-                raise ValueError("value is not invariant under index permutations")
-            counts[kap] = counts.get(kap, 0) + 1
-        for kap, cnt in counts.items():
-            if cnt != math.perm(self.n, len(kap.blocks)):
-                raise ValueError("value is not invariant under index permutations")
-        return coeffs
+        return _orbit_coefficients(x.terms.items(), self.n)
 
     def from_components(self, comps: dict) -> MatrixUnitElement:
         """Expand kernel-class coefficients over the injective index maps;
@@ -419,10 +440,15 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         return f"MatrixUnitAlgebra({self.n})"
 
 
+_UNLIFTED = object()
+
+
 class BMatrix:
     """A square matrix over a coefficient algebra: an element of M_N(B)."""
 
-    __slots__ = ("algebra", "size", "rows")
+    # _diagrams caches the partition-algebra lift of a matrix over matrix
+    # units (_diagram_terms); the matrix is immutable, so it is filled once
+    __slots__ = ("algebra", "size", "rows", "_diagrams")
 
     def __init__(self, algebra: CoefficientAlgebra, rows):
         rows = tuple(
@@ -437,6 +463,7 @@ class BMatrix:
         self.algebra = algebra
         self.size = size
         self.rows = rows
+        self._diagrams = _UNLIFTED
 
     @classmethod
     def identity(cls, algebra: CoefficientAlgebra, size: int) -> "BMatrix":
@@ -623,20 +650,31 @@ def constrained_sum(constraint: Partition, args):
 
     The 2m slots are the row and column indices in order (slot 2k-1 is A(k)'s
     row, slot 2k its column); the sum runs over all tuples i whose kernel is
-    refined by the constraint.  Over a DenseAlgebra the sum is one exact
-    integer tensor contraction (_tensor_sum); otherwise, and when einsum runs
-    out of subscripts, it is the transfer scan (_scan_sum), which also serves
-    as the oracle for the tensor route.
+    refined by the constraint.  Three exact routes compute it:
+
+    - over a DenseAlgebra, one integer tensor contraction (_tensor_sum), while
+      einsum has subscripts enough;
+    - over a MatrixUnitAlgebra, when every factor is invariant under
+      simultaneous permutation of its indices, loop counting over
+      partition-algebra diagrams (_loop_sum), while there are at most
+      MAX_DIAGRAM_CHOICES choices of one diagram per factor;
+    - otherwise the transfer scan (_scan_sum), which is also the oracle the
+      other two routes are tested against.
     """
     args = _check_args(args)
     m = len(args)
     if constraint.size != 2 * m:
         raise ValueError(f"constraint must partition {2 * m} slots")
+    algebra = args[0].algebra
     if (
-        isinstance(args[0].algebra, DenseAlgebra)
+        isinstance(algebra, DenseAlgebra)
         and len(constraint.blocks) + m + 1 <= len(_SUBSCRIPTS)
     ):
         return _tensor_sum(constraint, args)
+    if isinstance(algebra, MatrixUnitAlgebra):
+        lifts = [_diagram_terms(a) for a in args]
+        if None not in lifts and math.prod(map(len, lifts)) <= MAX_DIAGRAM_CHOICES:
+            return _loop_sum(constraint, lifts, algebra)
     return _scan_sum(constraint, args)
 
 
@@ -710,6 +748,156 @@ def _tensor_sum(constraint: Partition, args) -> DenseElement:
             for a in range(d)
         ),
     )
+
+
+# the most choices of one diagram per factor that _loop_sum walks.  Each
+# choice costs about 6 microseconds; the scan it replaces costs about as
+# much as 64-100 choices at N = 2 (where the flip matrix lifts to 4 diagrams,
+# 4096 choices for the six-factor flip word) and ten times more from N = 3 on
+MAX_DIAGRAM_CHOICES = 256
+
+
+def _diagram_terms(a: BMatrix) -> tuple | None:
+    """A matrix over matrix units as a partition-algebra element, or None.
+
+    The entries A_rc = sum x E_ab(1) E_a'b'(2) form a map on 6-tuples of
+    legs (r, c, a, b, a', b').  If the map is invariant under simultaneous
+    permutation of the indices, it has one value x_k per kernel class k and
+    equals sum_pi d_pi delta_pi, where delta_pi is 1 on the tuples constant
+    on the blocks of pi and d_pi = sum_{k <= pi} mu(k, pi) x_k (Moebius
+    inversion on the full partition lattice).  That holds at every N, since
+    a class with more blocks than N has no tuples.  Returns the nonzero
+    (blocks as leg offsets 0..5, d_pi) pairs, computed once per matrix, or
+    None for a map that is not invariant.
+    """
+    if a._diagrams is _UNLIFTED:
+        items = (
+            ((r, c) + quad, v)
+            for r, row in enumerate(a.rows, start=1)
+            for c, x in enumerate(row, start=1)
+            for quad, v in x.terms.items()
+        )
+        try:
+            orbits = _orbit_coefficients(items, a.size)
+        except ValueError:
+            a._diagrams = None
+            return None
+        coeffs: dict[Partition, GaussianRational] = {}
+        for kap, x in orbits.items():
+            for pi, mu in _coarsenings(kap):
+                coeffs[pi] = coeffs.get(pi, _ZERO) + x * mu
+        a._diagrams = tuple(
+            (tuple(tuple(leg - 1 for leg in block) for block in pi.blocks), d)
+            for pi, d in coeffs.items()
+            if d
+        )
+    return a._diagrams
+
+
+@lru_cache(maxsize=None)
+def _coarsenings(kap: Partition) -> tuple:
+    """Every pi >= kap, with the Moebius value mu(kap, pi) of the full lattice."""
+    out = []
+    for grouping in enumerate_family("all", len(kap.blocks)):
+        pi = Partition(
+            kap.size,
+            tuple(sum((kap.blocks[t - 1] for t in g), ()) for g in grouping.blocks),
+        )
+        out.append((pi, mobius_full(kap, pi)))
+    return tuple(out)
+
+
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list, x: int, y: int) -> int:
+    """Join the components of x and y; 1 if they were apart, else 0."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return 0
+    parent[ry] = rx
+    return 1
+
+
+def _loop_sum(constraint: Partition, lifts, algebra: MatrixUnitAlgebra):
+    """The constrained sum of partition-algebra factors by loop counting.
+
+    Factor k has the legs 6k..6k+5 = (r, c, a, b, a', b').  For each choice
+    of one diagram per factor, union-find joins the legs that are forced
+    equal: the row and column slots of each constraint block, the chains
+    b_k ~ a_{k+1} and b'_k ~ a'_{k+1} of the matrix-unit products, and the
+    blocks of the chosen diagrams.  Each component that meets none of the
+    four output legs (a_1, b_m, a'_1, b'_m) is a closed loop and sums to a
+    factor N; how the output legs fall together is a delta pattern, and the
+    coefficient of a kernel class is the sum over the patterns below it.
+    Coefficients run as Gaussian integers over one common denominator.
+    """
+    m = len(lifts)
+    n = algebra.n
+    nlegs = 6 * m
+    base = list(range(nlegs))
+    merged = 0
+    for block in constraint.blocks:
+        # slot 2k+1 is factor k's row leg 6k, slot 2k+2 its column leg 6k+1
+        legs = [6 * ((s - 1) // 2) + (s - 1) % 2 for s in block]
+        for leg in legs[1:]:
+            merged += _union(base, legs[0], leg)
+    for k in range(m - 1):
+        merged += _union(base, 6 * k + 3, 6 * k + 8)
+        merged += _union(base, 6 * k + 5, 6 * k + 10)
+    outputs = (2, nlegs - 3, 4, nlegs - 1)
+    choices = []
+    denominator = 1
+    for k, lift in enumerate(lifts):
+        scale = math.lcm(*(f.denominator for _, d in lift for f in (d.re, d.im)))
+        denominator *= scale
+        choices.append([
+            (
+                [(6 * k + b[0], 6 * k + leg) for b in blocks for leg in b[1:]],
+                d.re.numerator * (scale // d.re.denominator),
+                d.im.numerator * (scale // d.im.denominator),
+            )
+            for blocks, d in lift
+        ])
+    # (output pattern, closed loops) -> Gaussian integer [re, im]
+    totals: dict[tuple, list] = {}
+
+    def visit(k: int, parent: list, merged: int, re: int, im: int) -> None:
+        if k == m:
+            seen: dict = {}
+            pattern = tuple(seen.setdefault(_find(parent, x), len(seen)) for x in outputs)
+            key = (pattern, nlegs - merged - len(seen))
+            acc = totals.get(key)
+            if acc is None:
+                totals[key] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
+            return
+        for pairs, dre, dim in choices[k]:
+            joined = parent[:]
+            more = merged
+            for x, y in pairs:
+                more += _union(joined, x, y)
+            visit(k + 1, joined, more, re * dre - im * dim, re * dim + im * dre)
+
+    visit(0, base, merged, 1, 0)
+    # a pattern's tuples fill every kernel class coarser than it
+    classes: dict[Partition, list] = {}
+    for (pattern, closed), (re, im) in totals.items():
+        for kap, _ in _coarsenings(kernel(pattern)):
+            acc = classes.setdefault(kap, [0, 0])
+            acc[0] += re * n**closed
+            acc[1] += im * n**closed
+    return algebra.from_components({
+        kap: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+        for kap, (re, im) in classes.items()
+        if re or im
+    })
 
 
 def _scan_sum(constraint: Partition, args):

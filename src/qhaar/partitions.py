@@ -5,7 +5,7 @@ asymptotic machinery) is driven by the combinatorics in this module: canonical
 immutable partitions of {1..k}, enumeration of the partition families that
 index Gram/Weingarten matrices, the Kreweras complement, the doubling maps
 between NC(m) and noncrossing pair partitions of 2m points, and the Moebius
-function of the noncrossing lattice.
+functions of the noncrossing and of the full partition lattice.
 
 Ground sets are 1-based.  All values are immutable and hashable; operations
 return new objects.
@@ -32,6 +32,7 @@ __all__ = [
     "rotate_left",
     "mobius",
     "mobius_recursive",
+    "mobius_full",
     "kernel",
     "restrict",
     "leq",
@@ -569,3 +570,21 @@ def mobius_recursive(s: Partition, p: Partition) -> int:
         if t != p and leq(s, t) and leq(t, p):
             total += mobius_recursive(s, t)
     return -total
+
+
+def mobius_full(s: Partition, p: Partition) -> int:
+    """Moebius function of the full partition lattice P(k); 0 unless s <= p.
+
+    The interval [s, p] is a product of full partition lattices, one per
+    block of p, on the blocks of s inside it; mu(0_j, 1_j) = (-1)^(j-1) (j-1)!.
+
+    >>> mobius_full(Partition.singletons(4), Partition.full(4))
+    -6
+    """
+    if not leq(s, p):
+        return 0
+    idx = p.block_index()
+    inside: dict[int, int] = {}
+    for block in s.blocks:
+        inside[idx[block[0]]] = inside.get(idx[block[0]], 0) + 1
+    return math.prod((-1) ** (j - 1) * math.factorial(j - 1) for j in inside.values())

@@ -17,6 +17,7 @@ from qhaar.freeness import (
     _finite_dim_spec,
     _pair_weights,
     _slot_partition,
+    counterexample_word,
     lhs_exact,
     load_scenario,
 )
@@ -37,7 +38,16 @@ from qhaar.opvalued import (
     parse_scalar,
     _scan_sum,
 )
-from qhaar.partitions import Partition, enumerate_family, fatten, fatten_extended, interleave, kreweras, leq
+from qhaar.partitions import (
+    Partition,
+    enumerate_family,
+    fatten,
+    fatten_extended,
+    interleave,
+    kernel,
+    kreweras,
+    leq,
+)
 from qhaar.weingarten import SignPattern
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -121,6 +131,20 @@ class TestDenseAlgebra:
         x = rand_dense(rng, alg)
         assert alg.from_components(alg.components(x)) == x
 
+    @pytest.mark.parametrize(
+        "other", [0.5, MatrixUnitAlgebra(2).one()], ids=["float", "matrix-unit"]
+    )
+    def test_foreign_operand_is_unsupported(self, other):
+        x = DenseAlgebra(2).one()
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x * other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other * x
+
+    def test_dimension_mismatch_keeps_its_message(self):
+        with pytest.raises(TypeError, match="mismatched dimension"):
+            DenseAlgebra(2).one() * DenseAlgebra(3).one()
+
 
 class TestMatrixUnitAlgebra:
     def test_product_rule(self):
@@ -159,6 +183,20 @@ class TestMatrixUnitAlgebra:
         alg = MatrixUnitAlgebra(3)
         kap = Partition.from_text("{{1},{2},{3},{4}}")
         assert alg.from_components({kap: 1}) == alg.zero()
+
+    @pytest.mark.parametrize(
+        "other", [0.5, DenseAlgebra(2).one()], ids=["float", "dense"]
+    )
+    def test_foreign_operand_is_unsupported(self, other):
+        x = MatrixUnitAlgebra(2).one()
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x * other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other * x
+
+    def test_size_mismatch_keeps_its_message(self):
+        with pytest.raises(TypeError, match="mismatched size"):
+            MatrixUnitAlgebra(2).one() * MatrixUnitAlgebra(3).one()
 
     def test_systems_commute(self):
         alg = MatrixUnitAlgebra(2)
@@ -443,7 +481,7 @@ def slot_partitions(word: MixedWord):
     return [_slot_partition(word, p, q) for p, q in weights]
 
 
-def assert_tensor_matches_scan(word: MixedWord):
+def assert_route_matches_scan(word: MixedWord):
     factors = word.all_factors()
     for constraint in slot_partitions(word):
         assert constrained_sum(constraint, factors) == _scan_sum(constraint, factors)
@@ -490,19 +528,19 @@ class TestTensorSum:
                 for sign in signs
             )
             lead = rand_sparse_bmatrix(rng, alg, n) if rng.random() < 0.5 else None
-            assert_tensor_matches_scan(MixedWord(flavor, letters, lead=lead))
+            assert_route_matches_scan(MixedWord(flavor, letters, lead=lead))
 
     def test_shipped_dense_scenarios(self):
         for name in ("dense_circulant", "diagonal_pattern"):
             scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
             for n in range(2, 7):
-                assert_tensor_matches_scan(scenario.word_at(n))
+                assert_route_matches_scan(scenario.word_at(n))
 
     def test_finite_dim_scenario_cells(self):
         # at N = 3 each of the three circulant cells has its own diagonal;
         # d = 3 runs at N = 2, where the scan oracle takes a second, not eight
         for d, n in ((1, 3), (2, 3), (3, 2)):
-            assert_tensor_matches_scan(_finite_dim_spec(d).word_at(n))
+            assert_route_matches_scan(_finite_dim_spec(d).word_at(n))
 
     @pytest.mark.parametrize(
         "m, refused", [(18, "_tensor_sum"), (17, "_scan_sum")], ids=["55-axes", "52-axes"]
@@ -523,6 +561,136 @@ class TestTensorSum:
 
         monkeypatch.setattr(opvalued, refused, refuse)
         assert constrained_sum(constraint, args) == expected
+
+
+def rand_diagrams(rng, n: int, terms: int, max_blocks: int = 3) -> list:
+    """Random delta diagrams on six legs with complex coefficients, some of
+    them times N.  With at most min(N, max_blocks) blocks each diagram lifts
+    to itself, and few blocks keep the scan oracle's entries sparse."""
+    shapes = [p for p in enumerate_family("all", 6) if len(p.blocks) <= min(n, max_blocks)]
+    return [
+        (rng.choice(shapes), rand_gauss(rng) * (n if rng.random() < 0.3 else 1))
+        for _ in range(terms)
+    ]
+
+
+def invariant_bmatrix(alg: MatrixUnitAlgebra, diagrams) -> BMatrix:
+    """The matrix over matrix units that is the sum of the given delta
+    diagrams on the six legs (row, column, a, b, a', b'); it is invariant
+    under simultaneous permutation of its indices."""
+    n = alg.n
+    by_class: dict = {}
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for legs in itertools.product(range(1, n + 1), repeat=6):
+        key = tuple(map(legs.index, legs))
+        if key not in by_class:
+            kap = kernel(legs)
+            by_class[key] = sum(
+                (d for pi, d in diagrams if leq(pi, kap)), GaussianRational.zero()
+            )
+        if by_class[key]:
+            rows[legs[0] - 1][legs[1] - 1][legs[2:]] = by_class[key]
+    return BMatrix(alg, [[MatrixUnitElement(n, e) for e in row] for row in rows])
+
+
+def rand_invariant_bmatrix(rng, alg: MatrixUnitAlgebra, terms: int) -> BMatrix:
+    return invariant_bmatrix(alg, rand_diagrams(rng, alg.n, terms))
+
+
+def diagram_choices(args) -> int:
+    return math.prod(len(opvalued._diagram_terms(a)) for a in args)
+
+
+class TestLoopSum:
+    """The matrix-unit loop-counting route equals the transfer scan, its oracle, exactly."""
+
+    def test_every_slot_partition(self):
+        for n in (1, 2, 3, 4):
+            alg = MatrixUnitAlgebra(n)
+            rng = random.Random(200 + n)
+            for m in (1, 2, 3):
+                args = [rand_invariant_bmatrix(rng, alg, rng.randint(2, 3)) for _ in range(m)]
+                # a repeated factor is lifted once
+                args[-1] = args[0]
+                assert diagram_choices(args) <= opvalued.MAX_DIAGRAM_CHOICES
+                for constraint in enumerate_family("all", 2 * m):
+                    assert constrained_sum(constraint, args) == _scan_sum(
+                        constraint, args
+                    )
+
+    def test_all_zero_factor(self):
+        alg = MatrixUnitAlgebra(3)
+        rng = random.Random(210)
+        args = [rand_invariant_bmatrix(rng, alg, 3), BMatrix.zero(alg, 3)]
+        assert diagram_choices(args) == 0
+        for constraint in enumerate_family("all", 4):
+            assert constrained_sum(constraint, args) == alg.zero()
+            assert _scan_sum(constraint, args) == alg.zero()
+
+    def test_lift_recovers_the_diagrams(self):
+        # at N = 6 every diagram has members, so the lift is unique; fine
+        # diagrams exercise the Moebius values of merging up to six blocks
+        rng = random.Random(212)
+        alg = MatrixUnitAlgebra(6)
+        for _ in range(3):
+            diagrams = rand_diagrams(rng, 6, 4, max_blocks=6)
+            expected: dict = {}
+            for pi, d in diagrams:
+                expected[pi] = expected.get(pi, GaussianRational.zero()) + d
+            lifted = {
+                Partition(6, tuple(tuple(leg + 1 for leg in b) for b in blocks)): d
+                for blocks, d in opvalued._diagram_terms(invariant_bmatrix(alg, diagrams))
+            }
+            assert lifted == {pi: d for pi, d in expected.items() if d}
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_flip_matrix_is_one_diagram(self, n):
+        # entry (i, j) is E_ji(1): row ~ b, column ~ a, and a' ~ b'
+        (blocks, d), = opvalued._diagram_terms(flip_matrix(MatrixUnitAlgebra(n)))
+        assert sorted(blocks) == [(0, 3), (1, 2), (4, 5)]
+        assert d == GaussianRational.one()
+
+    def test_each_factor_is_lifted_once(self, monkeypatch):
+        calls = []
+        orbit = opvalued._orbit_coefficients
+        monkeypatch.setattr(
+            opvalued, "_orbit_coefficients", lambda *a: calls.append(1) or orbit(*a)
+        )
+        lhs_exact(counterexample_word(4, "quantum"), 4)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", ["invariant", "not-invariant", "over-bound"])
+    def test_route(self, monkeypatch, case):
+        alg = MatrixUnitAlgebra(3)
+        rng = random.Random(211)
+        if case == "not-invariant":
+            args = [BMatrix(alg, [[alg.unit(1, 1, 2)] * 3] * 3), flip_matrix(alg)]
+        else:
+            args = [rand_invariant_bmatrix(rng, alg, 3) for _ in range(2)]
+        if case == "over-bound":
+            monkeypatch.setattr(opvalued, "MAX_DIAGRAM_CHOICES", diagram_choices(args) - 1)
+        refused = "_scan_sum" if case == "invariant" else "_loop_sum"
+        constraint = Partition.from_text("{{1,4},{2},{3}}")
+        expected = _scan_sum(constraint, args)
+
+        def refuse(*_):
+            raise AssertionError(f"{refused} must not run for a {case} sum")
+
+        monkeypatch.setattr(opvalued, refused, refuse)
+        assert expected
+        assert constrained_sum(constraint, args) == expected
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("flavor", ["quantum", "classical"])
+    def test_counterexample_word(self, monkeypatch, flavor, n):
+        word = counterexample_word(n, flavor)
+        value = lhs_exact(word, n)
+        monkeypatch.setattr(opvalued, "MAX_DIAGRAM_CHOICES", 0)
+        assert value == lhs_exact(word, n)
+
+    def test_classical_pole_at_two(self):
+        with pytest.raises(ZeroDivisionError, match="denominator vanishes at n = 2"):
+            lhs_exact(counterexample_word(2, "classical"), 2)
 
 
 class TestFlipMatrixFacts:

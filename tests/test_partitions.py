@@ -22,6 +22,7 @@ from qhaar.partitions import (
     kreweras,
     leq,
     mobius,
+    mobius_full,
     mobius_recursive,
     restrict,
     rotate_left,
@@ -377,6 +378,35 @@ def test_mobius_multiplicative_over_blocks():
                     mobius(restrict(s, b), Partition.full(len(b))) for b in p.blocks
                 )
                 assert mobius(s, p) == prod
+
+
+def test_mobius_full_small_values():
+    for k in range(1, 7):
+        top = mobius_full(Partition.singletons(k), Partition.full(k))
+        assert top == (-1) ** (k - 1) * math.factorial(k - 1)
+    # the crossing partition has its own coarsening interval in P(4)
+    assert mobius_full(P("{{1,3},{2,4}}"), Partition.full(4)) == -1
+    assert mobius_full(Partition.full(3), Partition.singletons(3)) == 0
+
+
+def test_mobius_full_definition():
+    # the defining identity: sum over k <= s <= p of mu(k, s) is [k == p]
+    for k in range(1, 6):
+        fam = enumerate_family("all", k).members
+        for kap in fam:
+            above = [s for s in fam if leq(kap, s)]
+            for p in fam:
+                total = sum(mobius_full(kap, s) for s in above if leq(s, p))
+                assert total == (1 if kap == p else 0)
+
+
+def test_mobius_full_agrees_on_noncrossing_intervals_of_three():
+    # below four points every interval of NC(k) is an interval of P(k)
+    for k in range(1, 4):
+        fam = enumerate_family("nc", k).members
+        for s in fam:
+            for p in fam:
+                assert mobius_full(s, p) == mobius(s, p)
 
 
 def test_mobius_requires_noncrossing():
