@@ -10,7 +10,6 @@ from qhaar.weingarten import (
     EntryWord,
     adjoint_reduce,
     build_table,
-    free_product_moment,
     haar_moment,
     word_moment,
 )
@@ -54,11 +53,13 @@ def main():
 
     print()
     print("== two independent copies (free product) ==")
-    eps = SignPattern.alternating(4)
-    ones = (1, 1, 1, 1)
-    same = free_product_moment(eps, (1, 1, 1, 1), ones, ones)
-    paired = free_product_moment(eps, (1, 1, 2, 2), ones, ones)
-    mixed = free_product_moment(eps, (1, 2, 1, 2), ones, ones)
+    def labelled(labels):
+        # u_11 u*_11 u_11 u*_11, letter t taken from copy labels[t]
+        return EntryWord.of(*[(1, 1, "1*"[t % 2], "u", lab) for t, lab in enumerate(labels)])
+
+    same = word_moment(labelled((1, 1, 1, 1)))
+    paired = word_moment(labelled((1, 1, 2, 2)))
+    mixed = word_moment(labelled((1, 2, 1, 2)))
     print(f"labels 1111 (single copy):    {same}")
     print(f"labels 1122 (blocks factor):  {paired}")
     print(f"labels 1212 (mixed cumulant): {mixed}")

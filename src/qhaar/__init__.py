@@ -3,10 +3,12 @@
 Modules:
   partitions  - noncrossing combinatorics, sign patterns, fattening, Moebius
   exactalg    - exact rationals, Gaussian rationals, rational functions, matrices
-  weingarten  - Gram/Weingarten tables and Haar-state entry moments
+  weingarten  - Gram/Weingarten tables, pair weights, Haar-state entry moments
   opvalued    - coefficient algebras, operator-valued moments and cumulants
   freeness    - exact finite-size moments versus their limit formulas
   cli         - command-line front end
+  oracles     - independent cross-checks (cumulant free-product moments, brute
+                force, recursive Moebius); never imported by the modules above
 """
 
 from .freeness import (
@@ -16,7 +18,6 @@ from .freeness import (
     Scenario,
     UnitaryLetter,
     WordToken,
-    brute_force_moment,
     convergence_report,
     counterexample,
     cumulant_limit,
@@ -40,7 +41,6 @@ __all__ = [
     "Scenario",
     "UnitaryLetter",
     "WordToken",
-    "brute_force_moment",
     "build_table",
     "convergence_report",
     "counterexample",

@@ -47,6 +47,7 @@ from .partitions import (
 )
 from .weingarten import (
     FLAVORS,
+    SIZE_CAPS,
     build_table,
     haar_moment,
     table_to_csv,
@@ -140,15 +141,21 @@ def _cmd_weingarten(args):
 
 
 def _cmd_moment(args):
+    flavor = _require_flavor(args.flavor)
     if args.eps is not None:
         eps = _parse_eps(args.eps)
     elif args.m is not None:
         if args.m < 1:
             raise UsageError("--m: must be positive")
+        cap = SIZE_CAPS[flavor]
+        if 2 * args.m > cap:
+            raise UsageError(
+                f"--m: {flavor} tables support at most {cap} letters (m <= {cap // 2}), "
+                f"got {args.m}"
+            )
         eps = SignPattern.alternating(2 * args.m)
     else:
         raise UsageError("--eps: required (or give --m for the alternating pattern)")
-    flavor = _require_flavor(args.flavor)
     try:
         table = build_table(flavor, eps)
     except ValueError as exc:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import random
@@ -59,15 +58,15 @@ from .partitions import (
     kreweras,
     leq,
     mobius,
-    restrict,
 )
-from .weingarten import FLAVORS, SIZE_CAPS, EntryWord, build_table, word_moment
+from .weingarten import FLAVORS, MULTI_LABEL_CAP, SIZE_CAPS, build_table
+# bench/tracing.py counts and probes these two under qhaar.freeness
+from .weingarten import _WEIGHT_CACHE, _pair_weights
 
 __all__ = [
     "UnitaryLetter",
     "MixedWord",
     "lhs_exact",
-    "brute_force_moment",
     "limit_formula",
     "cumulant_limit",
     "rotated_limit",
@@ -93,7 +92,6 @@ __all__ = [
     "infinitesimal_check",
 ]
 
-MULTI_LABEL_CAP = 6
 # the largest matrix size a scenario or a command may ask for
 MAX_N = 16
 # the names a matrix_unit_pattern entry may use
@@ -136,9 +134,7 @@ class MixedWord:
             raise ValueError("a word needs at least one letter or a lead matrix")
         if len(self.letters) % 2 == 1:
             raise ValueError("mixed words use an even number of unitary letters")
-        mats = ([self.lead] if self.lead is not None else []) + [
-            let.factor for let in self.letters
-        ]
+        mats = self.all_factors()
         first = mats[0]
         if not isinstance(first, BMatrix):
             raise TypeError("factors must be BMatrix instances")
@@ -170,13 +166,11 @@ class MixedWord:
 
     @property
     def size(self) -> int:
-        mat = self.lead if self.lead is not None else self.letters[0].factor
-        return mat.size
+        return self.all_factors()[0].size
 
     @property
     def algebra(self) -> CoefficientAlgebra:
-        mat = self.lead if self.lead is not None else self.letters[0].factor
-        return mat.algebra
+        return self.all_factors()[0].algebra
 
     def signs(self) -> tuple[str, ...]:
         return tuple(let.sign for let in self.letters)
@@ -259,76 +253,6 @@ def _slot_partition(word: MixedWord, p: Partition, q: Partition) -> Partition:
     return Partition(nslots, tuple(tuple(g) for g in groups.values()))
 
 
-_WEIGHT_CACHE: dict = {}
-
-
-def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dict:
-    """Coefficient of each pairing pair (p, q) in the exact moment formula.
-
-    Single-label words use the Weingarten entry directly.  Words mixing
-    several labels expand the free-product state through noncrossing
-    cumulants, which factors the weight over the blocks of every noncrossing
-    partition dominating p join q.
-    """
-    key = (flavor, str(eps), labels)
-    cached = _WEIGHT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if len(set(labels)) <= 1:
-        table = build_table(flavor, eps)
-        weights = {
-            (p, q): table.wg_entry(p, q)
-            for p in table.family
-            for q in table.family
-        }
-    else:
-        if flavor != "quantum":
-            raise NotImplementedError(
-                "multi-label words are only supported for the quantum flavor"
-            )
-        k = len(eps)
-        if k > MULTI_LABEL_CAP:
-            raise ValueError(
-                f"multi-label words support at most {MULTI_LABEL_CAP} letters, got {k}"
-            )
-        table = build_table("quantum", eps)
-        ker_l = kernel(labels)
-        ncs = enumerate_family("nc", k).members
-        c_omega: dict[Partition, int] = {}
-        for omega in ncs:
-            tot = 0
-            for tau in ncs:
-                if leq(omega, tau) and leq(tau, ker_l):
-                    tot += mobius(omega, tau)
-            if tot:
-                c_omega[omega] = tot
-        weights = {}
-        for p in table.family:
-            for q in table.family:
-                floor = join_full(p, q)
-                acc = RationalFunction.zero()
-                for omega, cw in c_omega.items():
-                    if not leq(floor, omega):
-                        continue
-                    term = RationalFunction.from_int(cw)
-                    for block in omega.blocks:
-                        sub_eps = SignPattern(
-                            tuple(eps.signs[v - 1] for v in block)
-                        )
-                        sub = build_table("quantum", sub_eps)
-                        term = term * sub.wg_entry(
-                            restrict(p, block), restrict(q, block)
-                        )
-                        if not term:
-                            break
-                    if term:
-                        acc = acc + term
-                if acc:
-                    weights[(p, q)] = acc
-    _WEIGHT_CACHE[key] = weights
-    return weights
-
-
 def lhs_exact(word: MixedWord, n: int):
     """Exact value of (Haar state tensor tr_N tensor id)[word] at size N.
 
@@ -354,68 +278,6 @@ def lhs_exact(word: MixedWord, n: int):
         if not block_sum:
             continue
         total = total + block_sum * wn
-    return total * Fraction(1, n)
-
-
-def brute_force_moment(word: MixedWord, n: int):
-    """Direct summation over every matrix index tuple; cross-check only.
-
-    Enumerates all trace and adjacency indices, multiplies the matrix entries
-    in word order, and weighs each tuple by the Haar moment of the resulting
-    entry word.  Exponential in the word length, so keep N and the word tiny.
-    """
-    if n < 2:
-        raise ValueError("evaluation requires N >= 2")
-    if word.size != n:
-        raise ValueError(f"word is built at size {word.size}, not {n}")
-    m2 = len(word.letters)
-    if m2 == 0:
-        return expectation(word.lead)
-    lead = word.lead
-    fac = word.factors()
-    signs = word.signs()
-    labels = word.labels()
-    rng = range(1, n + 1)
-    cache: dict = {}
-    total = word.algebra.zero()
-    for a0 in rng:
-        b1_options = rng if lead is not None else (a0,)
-        for b1 in b1_options:
-            for rest in itertools.product(rng, repeat=2 * m2 - 1):
-                b = (b1,) + rest[: m2 - 1]
-                c = rest[m2 - 1 :]
-                entries = []
-                if lead is not None:
-                    e0 = lead.rows[a0 - 1][b1 - 1]
-                    if not e0:
-                        continue
-                    entries.append(e0)
-                ok = True
-                for t in range(m2):
-                    nxt = b[t + 1] if t + 1 < m2 else a0
-                    e = fac[t].rows[c[t] - 1][nxt - 1]
-                    if not e:
-                        ok = False
-                        break
-                    entries.append(e)
-                if not ok:
-                    continue
-                mom = cache.get((b, c))
-                if mom is None:
-                    ew = EntryWord.of(
-                        *[
-                            (b[t], c[t], signs[t], "adjoint", labels[t])
-                            for t in range(m2)
-                        ]
-                    )
-                    mom = word_moment(ew, word.flavor).evaluate(n)
-                    cache[(b, c)] = mom
-                if not mom:
-                    continue
-                prod = entries[0]
-                for e in entries[1:]:
-                    prod = prod * e
-                total = total + prod * mom
     return total * Fraction(1, n)
 
 

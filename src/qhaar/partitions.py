@@ -31,7 +31,6 @@ __all__ = [
     "interleave",
     "rotate_left",
     "mobius",
-    "mobius_recursive",
     "mobius_full",
     "kernel",
     "restrict",
@@ -543,8 +542,8 @@ def mobius(s: Partition, p: Partition) -> int:
 
     Computed multiplicatively: the interval [s, p] factors over the blocks of
     p, and mu(tau, 1) is a signed Catalan product over the Kreweras complement
-    of tau.  The definitional chain recursion is kept in mobius_recursive and
-    the two are cross-checked in the test suite.
+    of tau.  The definitional chain recursion is qhaar.oracles.mobius_recursive,
+    and the test suite checks the two against each other.
 
     >>> mobius(Partition.singletons(3), Partition.full(3))
     2
@@ -556,20 +555,6 @@ def mobius(s: Partition, p: Partition) -> int:
     if not leq(s, p):
         return 0
     return math.prod(_mobius_to_one(restrict(s, block)) for block in p.blocks)
-
-
-@lru_cache(maxsize=None)
-def mobius_recursive(s: Partition, p: Partition) -> int:
-    """mu(s, p) by the memoized defining recursion over the interval [s, p)."""
-    if not leq(s, p):
-        return 0
-    if s == p:
-        return 1
-    total = 0
-    for t in _nc_partitions(p.size):
-        if t != p and leq(s, t) and leq(t, p):
-            total += mobius_recursive(s, t)
-    return -total
 
 
 def mobius_full(s: Partition, p: Partition) -> int:

@@ -1,9 +1,12 @@
 """Weingarten calculus for the quantum unitary group A_u(n), exactly over Q(n).
 
-Builds Gram and Weingarten matrices for sign patterns, evaluates Haar-state
-moments of words in the generator entries U_ij, reduces words in entries of
-the adjoint matrix U* to generator words, computes free-product moments via
-cumulant sums, and extracts the Laurent data of fattened Weingarten entries.
+Builds Gram and Weingarten matrices for sign patterns, expands the Haar state
+of one copy or of the free product of several copies into weights on pairing
+pairs (the one production route for entry moments and for lhs_exact),
+evaluates words in the generator entries U_ij, reduces words in entries of
+the adjoint matrix U* to generator words, and extracts the Laurent data of
+fattened Weingarten entries.  The noncrossing-cumulant route to free-product
+moments is an independent cross-check and lives in qhaar.oracles.
 
 A "classical" flavor over full pair partitions drives the comparison with
 ordinary Haar unitary random matrices; it uses the same Gram construction over
@@ -28,6 +31,7 @@ from .partitions import (
     kernel,
     leq,
     mobius,
+    restrict,
 )
 
 __all__ = [
@@ -40,9 +44,6 @@ __all__ = [
     "haar_moment",
     "word_moment",
     "adjoint_reduce",
-    "moment_function",
-    "entry_cumulant",
-    "free_product_moment",
     "west_expansion",
     "table_to_json",
     "table_to_csv",
@@ -50,6 +51,7 @@ __all__ = [
 
 FLAVORS = ("quantum", "classical")
 SIZE_CAPS = {"quantum": 8, "classical": 6}
+MULTI_LABEL_CAP = 6
 _SIGNS = ("1", "*")
 _KINDS = ("u", "adjoint")
 
@@ -117,10 +119,7 @@ class EntryWord:
     @classmethod
     def of(cls, *items) -> "EntryWord":
         """Build from (row, col[, sign[, kind[, label]]]) tuples or Letters."""
-        letters = []
-        for item in items:
-            letters.append(item if isinstance(item, Letter) else Letter(*item))
-        return cls(tuple(letters))
+        return cls(tuple(item if isinstance(item, Letter) else Letter(*item) for item in items))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -232,27 +231,85 @@ def haar_moment(table: WeingartenTable, i, j) -> RationalFunction:
     return total
 
 
+_WEIGHT_CACHE: dict = {}
+
+
+def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dict:
+    """Coefficient of each pairing pair (p, q) in the exact moment formula.
+
+    Single-label words use the Weingarten entry directly.  Words mixing
+    several labels expand the free-product state through noncrossing
+    cumulants, which factors the weight over the blocks of every noncrossing
+    partition dominating p join q.
+    """
+    key = (flavor, str(eps), labels)
+    cached = _WEIGHT_CACHE.get(key)
+    if cached is not None:
+        return cached
+    if len(set(labels)) <= 1:
+        table = build_table(flavor, eps)
+        weights = {(p, q): table.wg_entry(p, q) for p in table.family for q in table.family}
+    else:
+        if flavor != "quantum":
+            raise NotImplementedError(
+                "multi-label words are only supported for the quantum flavor"
+            )
+        k = len(eps)
+        if k > MULTI_LABEL_CAP:
+            raise ValueError(
+                f"multi-label words support at most {MULTI_LABEL_CAP} letters, got {k}"
+            )
+        table = build_table("quantum", eps)
+        ker_l = kernel(labels)
+        ncs = enumerate_family("nc", k).members
+        c_omega: dict[Partition, int] = {}
+        for omega in ncs:
+            tot = sum(mobius(omega, tau) for tau in ncs if leq(omega, tau) and leq(tau, ker_l))
+            if tot:
+                c_omega[omega] = tot
+        weights = {}
+        for p in table.family:
+            for q in table.family:
+                floor = join_full(p, q)
+                acc = RationalFunction.zero()
+                for omega, cw in c_omega.items():
+                    if not leq(floor, omega):
+                        continue
+                    term = RationalFunction.from_int(cw)
+                    for block in omega.blocks:
+                        sub_eps = SignPattern(tuple(eps.signs[v - 1] for v in block))
+                        sub = build_table("quantum", sub_eps)
+                        term = term * sub.wg_entry(restrict(p, block), restrict(q, block))
+                        if not term:
+                            break
+                    if term:
+                        acc = acc + term
+                if acc:
+                    weights[(p, q)] = acc
+    _WEIGHT_CACHE[key] = weights
+    return weights
+
+
 def word_moment(word: EntryWord, flavor: str = "quantum") -> RationalFunction:
     """Haar-state value of an arbitrary entry word; odd-length words are 0.
 
-    Adjoint-matrix entries are first rewritten as generator powers.  Words
-    mixing several labels are evaluated in the free product (quantum only).
+    Adjoint-matrix entries are first rewritten as generator powers; the value
+    is the sum of the pair weights over pairings (p, q) with p refining the
+    kernel of the row indices and q that of the column indices.  Words mixing
+    several labels are evaluated in the free product (quantum only).
     """
     if len(word) % 2 == 1:
         return RationalFunction.zero()
     if len(word) == 0:
         return RationalFunction.one()
     gen = word.generator_form()
-    labels = gen.labels()
-    eps = SignPattern(gen.signs())
-    if len(set(labels)) > 1:
-        if flavor != "quantum":
-            raise NotImplementedError(
-                "multi-label words are only supported for the quantum flavor"
-            )
-        return free_product_moment(eps, labels, gen.rows(), gen.cols())
-    table = build_table(flavor, eps)
-    return haar_moment(table, gen.rows(), gen.cols())
+    weights = _pair_weights(flavor, SignPattern(gen.signs()), gen.labels())
+    rows, cols = gen.rows(), gen.cols()
+    total = RationalFunction.zero()
+    for (p, q), w in weights.items():
+        if _refines_kernel(p, rows) and _refines_kernel(q, cols):
+            total = total + w
+    return total
 
 
 def adjoint_reduce(word: EntryWord) -> EntryWord:
@@ -271,74 +328,6 @@ def adjoint_reduce(word: EntryWord) -> EntryWord:
             a, b = b, a
         out.append(Letter(a, b, let.sign, "u", let.label))
     return EntryWord(tuple(out))
-
-
-def moment_function(table: WeingartenTable, omega: Partition, i, j) -> RationalFunction:
-    """The partial moment along omega: product of Haar moments of its blocks.
-
-    Scalar values multiply, so nested extraction along a noncrossing omega
-    reduces to a product over blocks; any odd block forces the value 0.
-    """
-    i = tuple(i)
-    j = tuple(j)
-    k = len(table.pattern)
-    if omega.size != k:
-        raise ValueError(f"omega must partition {k} points")
-    if not omega.is_noncrossing():
-        raise ValueError("omega must be noncrossing")
-    total = RationalFunction.one()
-    for block in omega.blocks:
-        if len(block) % 2 == 1:
-            return RationalFunction.zero()
-        sub_eps = SignPattern(tuple(table.pattern.signs[v - 1] for v in block))
-        sub_table = build_table(table.flavor, sub_eps)
-        sub_i = tuple(i[v - 1] for v in block)
-        sub_j = tuple(j[v - 1] for v in block)
-        total = total * haar_moment(sub_table, sub_i, sub_j)
-        if not total:
-            return total
-    return total
-
-
-def entry_cumulant(table: WeingartenTable, tau: Partition, i, j) -> RationalFunction:
-    """kappa^(tau) = sum over noncrossing omega <= tau of mu(omega, tau) psi^(omega)."""
-    if not tau.is_noncrossing():
-        raise ValueError("tau must be noncrossing")
-    total = RationalFunction.zero()
-    for omega in enumerate_family("nc", tau.size).members:
-        if not leq(omega, tau):
-            continue
-        value = moment_function(table, omega, i, j)
-        if value:
-            total = total + mobius(omega, tau) * value
-    return total
-
-
-def free_product_moment(eps, labels, i, j, n: int | None = None) -> RationalFunction:
-    """Haar state of the free product on a generator word with factor labels.
-
-    Computed exactly as the sum of kappa^(tau) over noncrossing tau refining
-    ker(labels): mixed cumulants of free, identically distributed factors
-    vanish.  With all labels equal this is the plain Haar moment.
-    """
-    eps = _as_pattern(eps)
-    labels = tuple(labels)
-    i = tuple(i)
-    j = tuple(j)
-    k = len(eps)
-    if not (len(labels) == len(i) == len(j) == k):
-        raise ValueError("labels and index tuples must match the sign pattern length")
-    if k > 6:
-        raise ValueError("free product moments support at most 6 letters")
-    table = build_table("quantum", eps)
-    ker_l = kernel(labels)
-    total = RationalFunction.zero()
-    for tau in enumerate_family("nc", k).members:
-        if leq(tau, ker_l):
-            total = total + entry_cumulant(table, tau, i, j)
-    if n is not None:
-        return RationalFunction.from_fraction(total.evaluate(n))
-    return total
 
 
 class WestExpansion(NamedTuple):

@@ -18,7 +18,6 @@ from qhaar.freeness import (
     MixedWord,
     UnitaryLetter,
     WordToken,
-    brute_force_moment,
     counterexample,
     crossing_pairing_present,
     cumulant_limit,
@@ -37,6 +36,7 @@ from qhaar.opvalued import (
     functional_e,
     norm_check,
 )
+from qhaar.oracles import brute_force_moment
 from qhaar.partitions import (
     Partition,
     SignPattern,

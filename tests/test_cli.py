@@ -250,6 +250,27 @@ class TestMoment:
         assert out == ""
         assert err == "error: --n-max: capped at 16 to keep exact evaluation tractable\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--m", "5"], "quantum tables support at most 8 letters (m <= 4), got 5"),
+            (
+                ["--m", "4", "--flavor", "classical"],
+                "classical tables support at most 6 letters (m <= 3), got 4",
+            ),
+            (
+                ["--m", "1000000000"],
+                "quantum tables support at most 8 letters (m <= 4), got 1000000000",
+            ),
+        ],
+        ids=["quantum-5", "classical-4", "huge"],
+    )
+    def test_m_over_cap_blames_m(self, capsys, argv, message):
+        code, out, err = run(capsys, ["moment"] + argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --m: {message}\n"
+
 
 class TestFreeness:
     def test_quantum_flip_converges(self, capsys):

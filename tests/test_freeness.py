@@ -15,7 +15,6 @@ from qhaar.freeness import (
     Scenario,
     UnitaryLetter,
     WordToken,
-    brute_force_moment,
     convergence_report,
     counterexample,
     counterexample_word,
@@ -40,6 +39,7 @@ from qhaar.opvalued import (
     expectation,
     parse_expression,
 )
+from qhaar.oracles import brute_force_moment
 from qhaar.partitions import Partition
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

@@ -15,7 +15,6 @@ from qhaar.freeness import (
     MixedWord,
     UnitaryLetter,
     _finite_dim_spec,
-    _pair_weights,
     _slot_partition,
     counterexample_word,
     lhs_exact,
@@ -48,7 +47,7 @@ from qhaar.partitions import (
     kreweras,
     leq,
 )
-from qhaar.weingarten import SignPattern
+from qhaar.weingarten import SignPattern, _pair_weights
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

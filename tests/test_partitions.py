@@ -23,11 +23,11 @@ from qhaar.partitions import (
     leq,
     mobius,
     mobius_full,
-    mobius_recursive,
     restrict,
     rotate_left,
     unfatten,
 )
+from qhaar.oracles import mobius_recursive
 
 P = Partition.from_text
 
