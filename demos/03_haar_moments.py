@@ -6,32 +6,28 @@ moment with two independent copies.
 """
 
 from qhaar.partitions import SignPattern
-from qhaar.weingarten import (
-    EntryWord,
-    adjoint_reduce,
-    build_table,
-    haar_moment,
-    word_moment,
-)
+from qhaar.weingarten import EntryWord, adjoint_reduce, word_moment
+
+
+def absolute_moment(m: int, flavor: str):
+    """E |u_11|^(2m): the word u_11 u*_11 ... with 2m letters."""
+    eps = SignPattern.alternating(2 * m)
+    return word_moment(EntryWord.of(*((1, 1, s) for s in eps.signs)), flavor)
 
 
 def main():
     print("== absolute moments of a single entry ==")
     print("E |u_11|^(2m) as a function of the size n:")
     for m in range(1, 4):
-        eps = SignPattern.alternating(2 * m)
-        ones = (1,) * (2 * m)
-        q = haar_moment(build_table("quantum", eps), ones, ones)
-        c = haar_moment(build_table("classical", eps), ones, ones)
+        q = absolute_moment(m, "quantum")
+        c = absolute_moment(m, "classical")
         print(f"  m={m}:  quantum {str(q):24s} classical {c}")
 
     print()
     print("evaluated at n = 4:")
     for m in range(1, 4):
-        eps = SignPattern.alternating(2 * m)
-        ones = (1,) * (2 * m)
-        q = haar_moment(build_table("quantum", eps), ones, ones).evaluate(4)
-        c = haar_moment(build_table("classical", eps), ones, ones).evaluate(4)
+        q = absolute_moment(m, "quantum").evaluate(4)
+        c = absolute_moment(m, "classical").evaluate(4)
         print(f"  m={m}:  quantum {str(q):8s} classical {c}")
 
     print()

@@ -4,10 +4,11 @@ Modules:
   partitions  - noncrossing combinatorics, sign patterns, fattening, Moebius
   exactalg    - exact rationals, Gaussian rationals, rational functions, matrices
   weingarten  - Gram/Weingarten tables, pair weights, Haar-state entry moments
-  opvalued    - coefficient algebras, operator-valued moments and cumulants
+  opvalued    - coefficient algebras, constrained sums, nested expectations, cumulants
   freeness    - exact finite-size moments versus their limit formulas
   cli         - command-line front end
-  oracles     - independent cross-checks (cumulant free-product moments, brute
+  oracles     - independent cross-checks (single-table Haar moments, cumulant
+                free-product moments, block-by-block nested expectations, brute
                 force, recursive Moebius); never imported by the modules above
 """
 
@@ -28,7 +29,7 @@ from .freeness import (
     load_scenario,
     rotated_limit,
 )
-from .weingarten import EntryWord, Letter, build_table, haar_moment, word_moment
+from .weingarten import EntryWord, Letter, build_table, word_moment
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,6 @@ __all__ = [
     "convergence_report",
     "counterexample",
     "cumulant_limit",
-    "haar_moment",
     "infinitesimal_check",
     "laurent_moments",
     "lhs_exact",

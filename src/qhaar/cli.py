@@ -48,10 +48,11 @@ from .partitions import (
 from .weingarten import (
     FLAVORS,
     SIZE_CAPS,
+    EntryWord,
     build_table,
-    haar_moment,
     table_to_csv,
     table_to_json,
+    word_moment,
 )
 
 
@@ -157,11 +158,10 @@ def _cmd_moment(args):
     else:
         raise UsageError("--eps: required (or give --m for the alternating pattern)")
     try:
-        table = build_table(flavor, eps)
+        build_table(flavor, eps)
     except ValueError as exc:
         raise UsageError(f"--eps: {exc}") from exc
-    ones = (1,) * len(eps)
-    f = haar_moment(table, ones, ones)
+    f = word_moment(EntryWord.of(*((1, 1, s) for s in eps.signs)), flavor)
     params = {"flavor": flavor, "eps": str(eps)}
     results = {"flavor": flavor, "pattern": str(eps), "moment": str(f)}
     values = None

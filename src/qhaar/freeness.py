@@ -49,6 +49,8 @@ from .opvalued import (
 from .partitions import (
     Partition,
     SignPattern,
+    _find,
+    _union,
     catalan,
     enumerate_family,
     fatten,
@@ -211,17 +213,6 @@ def _slot_partition(word: MixedWord, p: Partition, q: Partition) -> Partition:
     nslots = off + 2 * m2
     parent = list(range(nslots + 1))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     def b_slot(t: int) -> int:
         if t == 1:
             return 2 if has_lead else off + 2 * m2
@@ -240,16 +231,16 @@ def _slot_partition(word: MixedWord, p: Partition, q: Partition) -> Partition:
 
     for block in p.blocks:
         for t in block[1:]:
-            union(i_slot(block[0]), i_slot(t))
+            _union(parent, i_slot(block[0]), i_slot(t))
     for block in q.blocks:
         for t in block[1:]:
-            union(j_slot(block[0]), j_slot(t))
+            _union(parent, j_slot(block[0]), j_slot(t))
     if has_lead:
         # the trace index also appears as the lead's row slot
-        union(1, off + 2 * m2)
+        _union(parent, 1, off + 2 * m2)
     groups: dict[int, list[int]] = {}
     for slot in range(1, nslots + 1):
-        groups.setdefault(find(slot), []).append(slot)
+        groups.setdefault(_find(parent, slot), []).append(slot)
     return Partition(nslots, tuple(tuple(g) for g in groups.values()))
 
 
@@ -1023,7 +1014,9 @@ class WordToken(NamedTuple):
 
 
 def _scalar_matrix(algebra: CoefficientAlgebra, n: int, element) -> BMatrix:
-    return BMatrix.identity(algebra, n).left_mul(element)
+    """element times the identity of M_N(B), without multiplying out the zeros."""
+    zero = algebra.zero()
+    return BMatrix(algebra, [[element if a == b else zero for b in range(n)] for a in range(n)])
 
 
 @dataclass
@@ -1066,9 +1059,7 @@ class InfinitesimalPair:
             elif tok.kind in ("rotated", "plain"):
                 mat = scenario.family_matrix(tok.symbol, n)
                 if tok.center is not None and not tok.center.is_zero():
-                    mat = mat - _scalar_matrix(
-                        algebra, n, tok.center.value_element(algebra)
-                    )
+                    mat = mat - _scalar_matrix(algebra, n, tok.center.value_element(algebra))
                 if tok.kind == "rotated":
                     seq.extend([("u", "1"), mat, ("u", "*")])
                 else:

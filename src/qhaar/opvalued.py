@@ -2,11 +2,11 @@
 
 Elements of the coefficient algebra B carry exact Gaussian-rational
 coordinates; matrices over B (BMatrix) model M_N(B) with the conditional
-expectation E_N = tr_N (x) id_B.  On top of these the module provides nested
-expectation functionals along noncrossing partitions, operator-valued free
-cumulants, exact constrained index sums (sums of entry products over all index
-tuples whose kernel refines a slot partition), and a floating-point norm-bound
-check for such sums.
+expectation E_N = tr_N (x) id_B.  On top of these the module provides exact
+constrained index sums (sums of entry products over all index tuples whose
+kernel refines a slot partition), the nested expectation functionals along
+noncrossing partitions and the operator-valued free cumulants built on them,
+and a floating-point norm-bound check for such sums.
 
 Two algebra instances are provided: DenseAlgebra (d x d matrices over Q(i))
 and MatrixUnitAlgebra (the span of products E_ab(1) E_cd(2) of two commuting
@@ -17,7 +17,9 @@ kernel class of a permutation-invariant element for MatrixUnitAlgebra.
 Constrained sums take one of three exact routes: an integer tensor
 contraction over DenseAlgebra, loop counting over partition-algebra diagrams
 for permutation-invariant matrices over MatrixUnitAlgebra, and a transfer
-scan for everything else.  The scan is the oracle of the other two.
+scan for everything else.  The scan is the oracle of the other two.  A nested
+expectation E^(sigma) is N^-|sigma| times the constrained sum over
+fatten(sigma); its block-extraction oracle lives in qhaar.oracles.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exactalg import GaussianRational
-from .partitions import Partition, enumerate_family, kernel, leq, mobius, mobius_full
+from .partitions import Partition, enumerate_family, fatten, kernel, leq, mobius, mobius_full
+from .partitions import _find, _union
 
 __all__ = [
     "CoefficientAlgebra",
@@ -591,9 +594,9 @@ def _check_args(args) -> list:
 def functional_e(sigma: Partition, args):
     """The nested expectation E^(sigma) along a noncrossing partition.
 
-    Repeatedly extracts an interval block that has a preceding factor,
-    replaces it by its expectation multiplied onto that factor from the
-    right, and finishes with the expectation of the remaining single block.
+    N^|sigma| E^(sigma) is the constrained sum over fatten(sigma), so the
+    value takes the exact routes of constrained_sum; the block extraction of
+    qhaar.oracles.nested_functional cross-checks it.
     """
     args = _check_args(args)
     k = len(args)
@@ -601,34 +604,8 @@ def functional_e(sigma: Partition, args):
         raise ValueError(f"partition of {sigma.size} points given {k} arguments")
     if not sigma.is_noncrossing():
         raise ValueError("sigma must be noncrossing")
-    order = list(range(1, k + 1))
-    mats = {p: args[p - 1] for p in order}
-    remaining = list(sigma.blocks)
-    while len(remaining) > 1:
-        pos = {p: t for t, p in enumerate(order)}
-        chosen = None
-        for block in remaining:
-            idxs = [pos[p] for p in block]
-            if max(idxs) - min(idxs) + 1 == len(idxs) and min(idxs) > 0:
-                chosen = block
-                break
-        # a noncrossing partition with >= 2 blocks always has such a block
-        assert chosen is not None
-        prod = mats[chosen[0]]
-        for p in chosen[1:]:
-            prod = prod @ mats[p]
-        value = expectation(prod)
-        pred = order[min(pos[p] for p in chosen) - 1]
-        mats[pred] = mats[pred].right_mul(value)
-        dropped = set(chosen)
-        for p in chosen:
-            del mats[p]
-        order = [p for p in order if p not in dropped]
-        remaining.remove(chosen)
-    prod = mats[order[0]]
-    for p in order[1:]:
-        prod = prod @ mats[p]
-    return expectation(prod)
+    scale = Fraction(1, args[0].size ** len(sigma.blocks))
+    return constrained_sum(fatten(sigma), args) * scale
 
 
 def cumulant_k(pi: Partition, args):
@@ -805,22 +782,6 @@ def _coarsenings(kap: Partition) -> tuple:
         )
         out.append((pi, mobius_full(kap, pi)))
     return tuple(out)
-
-
-def _find(parent: list, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list, x: int, y: int) -> int:
-    """Join the components of x and y; 1 if they were apart, else 0."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx == ry:
-        return 0
-    parent[ry] = rx
-    return 1
 
 
 def _loop_sum(constraint: Partition, lifts, algebra: MatrixUnitAlgebra):

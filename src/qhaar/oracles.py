@@ -1,9 +1,11 @@
 """Independent cross-check routes; no production module imports this one.
 
 Each function computes a quantity that production code computes another way,
-and the test suite compares the two: free_product_moment (noncrossing
-cumulants) against weingarten.word_moment (pair weights), brute_force_moment
-(every index tuple) against freeness.lhs_exact, and mobius_recursive (the
+and the test suite compares the two: haar_moment (one Weingarten table) and
+free_product_moment (noncrossing cumulants) against weingarten.word_moment
+(pair weights), brute_force_moment (every index tuple) against
+freeness.lhs_exact, nested_functional (block extraction) against
+opvalued.functional_e (a constrained sum), and mobius_recursive (the
 defining recursion) against partitions.mobius.
 """
 
@@ -16,23 +18,85 @@ from functools import lru_cache, partial, reduce
 
 from .exactalg import RationalFunction
 from .freeness import MixedWord
-from .opvalued import expectation
+from .opvalued import _check_args, expectation
 from .partitions import Partition, SignPattern, enumerate_family, kernel, leq, mobius
 from .weingarten import (
     EntryWord,
     WeingartenTable,
     _as_pattern,
+    _refines_kernel,
     build_table,
-    haar_moment,
 )
 
 __all__ = [
+    "haar_moment",
+    "nested_functional",
     "moment_function",
     "entry_cumulant",
     "free_product_moment",
     "brute_force_moment",
     "mobius_recursive",
 ]
+
+
+def haar_moment(table: WeingartenTable, i, j) -> RationalFunction:
+    """psi_n of the generator word with row indices i, column indices j.
+
+    Sums wg(p, s) over family pairings p refining ker i and s refining ker j.
+    """
+    i, j = tuple(i), tuple(j)
+    k = len(table.pattern)
+    if len(i) != k or len(j) != k:
+        raise ValueError(f"index tuples must have length {k}")
+    if any(x < 1 for x in i + j):
+        raise ValueError("matrix indices start at 1")
+    row_ok = [p for p in table.family if _refines_kernel(p, i)]
+    col_ok = [s for s in table.family if _refines_kernel(s, j)]
+    return sum((table.wg_entry(p, s) for p in row_ok for s in col_ok), RationalFunction.zero())
+
+
+def nested_functional(sigma: Partition, args):
+    """The nested expectation E^(sigma) along a noncrossing partition.
+
+    Repeatedly extracts an interval block that has a preceding factor,
+    replaces it by its expectation multiplied onto that factor from the
+    right, and finishes with the expectation of the remaining single block.
+    Never calls constrained_sum, so it stays independent of functional_e.
+    """
+    args = _check_args(args)
+    k = len(args)
+    if sigma.size != k:
+        raise ValueError(f"partition of {sigma.size} points given {k} arguments")
+    if not sigma.is_noncrossing():
+        raise ValueError("sigma must be noncrossing")
+    order = list(range(1, k + 1))
+    mats = {p: args[p - 1] for p in order}
+    remaining = list(sigma.blocks)
+    while len(remaining) > 1:
+        pos = {p: t for t, p in enumerate(order)}
+        chosen = None
+        for block in remaining:
+            idxs = [pos[p] for p in block]
+            if max(idxs) - min(idxs) + 1 == len(idxs) and min(idxs) > 0:
+                chosen = block
+                break
+        # a noncrossing partition with >= 2 blocks always has such a block
+        assert chosen is not None
+        prod = mats[chosen[0]]
+        for p in chosen[1:]:
+            prod = prod @ mats[p]
+        value = expectation(prod)
+        pred = order[min(pos[p] for p in chosen) - 1]
+        mats[pred] = mats[pred].right_mul(value)
+        dropped = set(chosen)
+        for p in chosen:
+            del mats[p]
+        order = [p for p in order if p not in dropped]
+        remaining.remove(chosen)
+    prod = mats[order[0]]
+    for p in order[1:]:
+        prod = prod @ mats[p]
+    return expectation(prod)
 
 
 def moment_function(table: WeingartenTable, omega: Partition, i, j) -> RationalFunction:

@@ -218,30 +218,35 @@ def restrict(p: Partition, subset) -> Partition:
     return Partition(len(sub), tuple(blocks))
 
 
+def _find(parent: list, x: int) -> int:
+    """The root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list, x: int, y: int) -> int:
+    """Join the components of x and y; 1 if they were apart, else 0."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return 0
+    parent[ry] = rx
+    return 1
+
+
 def join_full(p: Partition, q: Partition) -> Partition:
     """Join in the full partition lattice P(k), by union-find over blocks."""
     if p.size != q.size:
         raise ValueError("ground sizes differ")
     parent = list(range(p.size + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
     for part in (p, q):
         for block in part.blocks:
             for a, b in zip(block, block[1:]):
-                union(a, b)
+                _union(parent, a, b)
     groups: dict[int, list[int]] = {}
     for x in range(1, p.size + 1):
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(_find(parent, x), []).append(x)
     return Partition(p.size, tuple(tuple(g) for g in groups.values()))
 
 

@@ -6,7 +6,8 @@ pairs (the one production route for entry moments and for lhs_exact),
 evaluates words in the generator entries U_ij, reduces words in entries of
 the adjoint matrix U* to generator words, and extracts the Laurent data of
 fattened Weingarten entries.  The noncrossing-cumulant route to free-product
-moments is an independent cross-check and lives in qhaar.oracles.
+moments and the single-table sum over Weingarten entries (haar_moment) are
+independent cross-checks and live in qhaar.oracles.
 
 A "classical" flavor over full pair partitions drives the comparison with
 ordinary Haar unitary random matrices; it uses the same Gram construction over
@@ -41,7 +42,6 @@ __all__ = [
     "WeingartenTable",
     "WestExpansion",
     "build_table",
-    "haar_moment",
     "word_moment",
     "adjoint_reduce",
     "west_expansion",
@@ -210,27 +210,6 @@ def _refines_kernel(pairing: Partition, values: tuple[int, ...]) -> bool:
     )
 
 
-def haar_moment(table: WeingartenTable, i, j) -> RationalFunction:
-    """psi_n of the generator word with row indices i, column indices j.
-
-    Sums wg(p, s) over family pairings p refining ker i and s refining ker j.
-    """
-    i = tuple(i)
-    j = tuple(j)
-    k = len(table.pattern)
-    if len(i) != k or len(j) != k:
-        raise ValueError(f"index tuples must have length {k}")
-    if any(x < 1 for x in i + j):
-        raise ValueError("matrix indices start at 1")
-    total = RationalFunction.zero()
-    row_ok = [p for p in table.family if _refines_kernel(p, i)]
-    col_ok = [s for s in table.family if _refines_kernel(s, j)]
-    for p in row_ok:
-        for s in col_ok:
-            total = total + table.wg_entry(p, s)
-    return total
-
-
 _WEIGHT_CACHE: dict = {}
 
 
@@ -240,13 +219,14 @@ def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dic
     Single-label words use the Weingarten entry directly.  Words mixing
     several labels expand the free-product state through noncrossing
     cumulants, which factors the weight over the blocks of every noncrossing
-    partition dominating p join q.
+    partition dominating p join q.  Labels enter only through their kernel.
     """
-    key = (flavor, str(eps), labels)
+    ker_l = kernel(labels)
+    key = (flavor, str(eps), ker_l)
     cached = _WEIGHT_CACHE.get(key)
     if cached is not None:
         return cached
-    if len(set(labels)) <= 1:
+    if len(ker_l.blocks) <= 1:
         table = build_table(flavor, eps)
         weights = {(p, q): table.wg_entry(p, q) for p in table.family for q in table.family}
     else:
@@ -260,7 +240,6 @@ def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dic
                 f"multi-label words support at most {MULTI_LABEL_CAP} letters, got {k}"
             )
         table = build_table("quantum", eps)
-        ker_l = kernel(labels)
         ncs = enumerate_family("nc", k).members
         c_omega: dict[Partition, int] = {}
         for omega in ncs:

@@ -36,7 +36,7 @@ from qhaar.opvalued import (
     functional_e,
     norm_check,
 )
-from qhaar.oracles import brute_force_moment
+from qhaar.oracles import brute_force_moment, nested_functional
 from qhaar.partitions import (
     Partition,
     SignPattern,
@@ -284,7 +284,9 @@ def test_criterion_05_nested_functionals_and_norm_bounds():
     t0 = time.perf_counter()
 
     # the constrained sum over a fattened interleaving equals the nested
-    # functional scaled by N^{blocks}, for every nested pair in NC(3)
+    # functional scaled by N^{blocks}, for every nested pair in NC(3); the
+    # functional comes from the block-extraction oracle, and functional_e
+    # must agree with it
     rng = random.Random(2024)
     nc3 = enumerate_family("nc", 3).members
     pairs = [(s, p) for p in nc3 for s in nc3 if leq(s, p)]
@@ -296,7 +298,9 @@ def test_criterion_05_nested_functionals_and_norm_bounds():
             scale = n ** len(omega.blocks)
             for _ in range(20):
                 args = [rand_bmatrix(rng, n) for _ in range(6)]
-                assert constrained_sum(target, args) == functional_e(omega, args) * scale
+                expected = nested_functional(omega, args)
+                assert constrained_sum(target, args) == expected * scale
+                assert functional_e(omega, args) == expected
 
     # triangle-inequality norm bound on 200 random instances
     for _ in range(200):

@@ -15,6 +15,7 @@ from qhaar.freeness import (
     Scenario,
     UnitaryLetter,
     WordToken,
+    _scalar_matrix,
     convergence_report,
     counterexample,
     counterexample_word,
@@ -35,6 +36,7 @@ from qhaar.opvalued import (
     BMatrix,
     DenseAlgebra,
     MatrixUnitAlgebra,
+    MatrixUnitElement,
     evaluate_expression,
     expectation,
     parse_expression,
@@ -659,6 +661,21 @@ class TestInfinitesimal:
         a = pair.scenario.family_matrix("A", n)
         assert w.letters[0].factor == a @ a
         assert w.lead is None
+
+    @pytest.mark.parametrize("alg", [DenseAlgebra(2), MatrixUnitAlgebra(3)], ids=repr)
+    def test_scalar_matrix_is_identity_times_element(self, alg):
+        rng = random.Random(12)
+        if isinstance(alg, DenseAlgebra):
+            x = rand_element(rng, alg)
+        else:
+            x = MatrixUnitElement(3, {
+                tuple(rng.randint(1, 3) for _ in range(4)):
+                    GaussianRational(Fraction(rng.randint(-2, 2), 3), Fraction(rng.randint(-1, 1)))
+                for _ in range(5)
+            })
+        assert x
+        for n in (1, 2, 3):
+            assert _scalar_matrix(alg, n, x) == BMatrix.identity(alg, n).left_mul(x)
 
     def test_realization_of_empty_word(self):
         pair = flip_infinitesimal_pair()

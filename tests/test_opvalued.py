@@ -37,6 +37,7 @@ from qhaar.opvalued import (
     parse_scalar,
     _scan_sum,
 )
+from qhaar.oracles import nested_functional
 from qhaar.partitions import (
     Partition,
     enumerate_family,
@@ -421,15 +422,18 @@ class TestConstrainedSum:
                 assert lhs == expectation(prod) * size
 
     def test_fattened_sums_match_nested_functionals(self):
-        # the constrained sum over fatten(sigma) equals N^{|sigma|} E^(sigma)
+        # the constrained sum over fatten(sigma) equals N^{|sigma|} E^(sigma),
+        # with E^(sigma) from the block-extraction oracle
         for alg in both_algebras():
             rng = random.Random(35)
             for n in (2, 3):
                 args = [rand_bmatrix(rng, alg, n) for _ in range(3)]
                 for sigma in enumerate_family("nc", 3):
+                    expected = nested_functional(sigma, args)
                     lhs = constrained_sum(fatten(sigma), args)
-                    rhs = functional_e(sigma, args) * (n ** len(sigma.blocks))
+                    rhs = expected * (n ** len(sigma.blocks))
                     assert lhs == rhs
+                    assert functional_e(sigma, args) == expected
 
     def test_interleaved_form(self):
         # sigma wr K(pi) on 2m slots, constraint its fattening on 4m slots
@@ -442,9 +446,11 @@ class TestConstrainedSum:
                         continue
                     omega = interleave(sigma, kreweras(pi))
                     args = [rand_bmatrix(rng, alg, n) for _ in range(4)]
+                    expected = nested_functional(omega, args)
                     lhs = constrained_sum(fatten(omega), args)
-                    rhs = functional_e(omega, args) * (n ** len(omega.blocks))
+                    rhs = expected * (n ** len(omega.blocks))
                     assert lhs == rhs
+                    assert functional_e(omega, args) == expected
 
     def test_repeatability(self):
         alg = MatrixUnitAlgebra(2)

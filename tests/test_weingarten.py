@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhaar import freeness, weingarten
 from qhaar.exactalg import RationalFunction, laurent_at_infinity
 from qhaar.partitions import (
     Partition,
@@ -21,13 +22,12 @@ from qhaar.weingarten import (
     Letter,
     adjoint_reduce,
     build_table,
-    haar_moment,
     table_to_csv,
     table_to_json,
     west_expansion,
     word_moment,
 )
-from qhaar.oracles import entry_cumulant, free_product_moment, moment_function
+from qhaar.oracles import entry_cumulant, free_product_moment, haar_moment, moment_function
 
 RF = RationalFunction
 N = RF.variable()
@@ -192,6 +192,21 @@ class TestWordMoment:
     def test_classical_single_label(self):
         w = EntryWord.of((1, 1), (1, 1, "*"))
         assert word_moment(w, flavor="classical") == 1 / N
+
+    def test_renamed_labels_share_one_weight_entry(self, monkeypatch):
+        # pair weights depend on the labels only through their kernel
+        cache: dict = {}
+        monkeypatch.setattr(weingarten, "_WEIGHT_CACHE", cache)
+
+        def word(labels):
+            return EntryWord.of(*[(1, 1, "1*"[t % 2], "u", lab) for t, lab in enumerate(labels)])
+
+        first = word_moment(word((1, 2, 1, 2, 1, 2)))
+        assert word_moment(word((2, 1, 2, 1, 2, 1))) == first
+        assert len(cache) == 1
+
+    def test_freeness_shares_the_weight_cache(self):
+        assert freeness._WEIGHT_CACHE is weingarten._WEIGHT_CACHE
 
 
 class TestAdjointReduce:
