@@ -678,9 +678,7 @@ def interpolate_rational(
         )
     num_q = vec[: num_degree + 1]
     den_q = vec[num_degree + 1 :]
-    lcm = 1
-    for q in num_q + den_q:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
+    lcm = math.lcm(*(q.denominator for q in num_q + den_q))
     num = _pstrip([int(q * lcm) for q in num_q])
     den = _pstrip([int(q * lcm) for q in den_q])
     if not den:

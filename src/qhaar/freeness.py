@@ -101,6 +101,9 @@ ENTRY_NAMES = ("i", "j", "N", "E")
 
 SLOPE_THRESHOLD = -1.7
 N2_GROWTH_FACTOR = 1.5
+# the fewest sizes a verdict passes on: six make n2_bounded's three-size head
+# and tail windows disjoint
+MIN_SIZES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +373,8 @@ class ConvergenceReport:
     slope is the least-squares slope of log delta against log N over the tail
     (None when the tail deviations vanish identically); n2_bounded compares
     the largest N^2 delta of the last three sizes against the first three.
-    The verdict passes only when both diagnostics pass; the CLI exits 1
-    exactly when it fails.
+    The verdict passes only when both diagnostics pass on at least MIN_SIZES
+    sizes; the CLI exits 1 exactly when it fails.
     """
 
     rows: tuple[ReportRow, ...]
@@ -381,7 +384,7 @@ class ConvergenceReport:
 
     @property
     def verdict(self) -> bool:
-        return self.slope_ok and self.n2_bounded
+        return len(self.rows) >= MIN_SIZES and self.slope_ok and self.n2_bounded
 
 
 def _fit_slope(rows) -> tuple[float | None, bool]:
@@ -930,7 +933,6 @@ class MomentPattern:
     kind: str
     dim: int | None
     entries: dict
-    samples: tuple[int, ...]
 
     def value_at(self, n: int, algebra: CoefficientAlgebra):
         """Evaluate every entry at size n and assemble the element of algebra."""
@@ -983,7 +985,7 @@ def laurent_moments(word_at, samples, kind: str, dim: int | None = None,
         )
         if re or im:
             entries[key] = (re, im)
-    return MomentPattern(kind, dim, entries, tuple(ns))
+    return MomentPattern(kind, dim, entries)
 
 
 class WordToken(NamedTuple):

@@ -14,12 +14,13 @@ N x N matrix-unit systems).  Each algebra owns its size-independent
 coordinates: matrix entries for DenseAlgebra, and one coefficient per index
 kernel class of a permutation-invariant element for MatrixUnitAlgebra.
 
-Constrained sums take one of three exact routes: an integer tensor
-contraction over DenseAlgebra, loop counting over partition-algebra diagrams
-for permutation-invariant matrices over MatrixUnitAlgebra, and a transfer
-scan for everything else.  The scan is the oracle of the other two.  A nested
-expectation E^(sigma) is N^-|sigma| times the constrained sum over
-fatten(sigma); its block-extraction oracle lives in qhaar.oracles.
+Each algebra is also where a constrained-sum backend plugs in: lift gives
+the exact form of a matrix that its fast_sum reads (BMatrix caches it), an
+integer tensor for DenseAlgebra and partition-algebra diagrams for
+permutation-invariant matrices over MatrixUnitAlgebra.  Every other sum takes
+the transfer scan, the oracle of the fast routes.  E^(sigma) is N^-|sigma|
+times the constrained sum over fatten(sigma); its block-extraction oracle
+lives in qhaar.oracles.
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ class CoefficientAlgebra(ABC):
     def from_components(self, comps: dict):
         """The element with the given coordinates; inverse of components."""
 
+    @abstractmethod
+    def lift(self, a: "BMatrix"):
+        """The exact form of a matrix over this algebra that fast_sum reads,
+        or None when only the transfer scan applies to it."""
+
+    @abstractmethod
+    def fast_sum(self, constraint: Partition, lifts: list):
+        """The constrained sum of the factors with these lifts, or None when
+        the fast route does not apply to this constraint."""
+
     def scalar(self, c):
         return self.one() * _as_gauss(c)
 
@@ -158,10 +169,7 @@ class DenseElement:
             ),
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def adjoint(self) -> "DenseElement":
         return DenseElement(
@@ -193,17 +201,10 @@ class DenseAlgebra(CoefficientAlgebra):
         self.dim = dim
 
     def zero(self) -> DenseElement:
-        z = _ZERO
-        return DenseElement(self.dim, tuple((z,) * self.dim for _ in range(self.dim)))
+        return self.from_components({})
 
     def one(self) -> DenseElement:
-        return DenseElement(
-            self.dim,
-            tuple(
-                tuple(_ONE if a == b else _ZERO for b in range(self.dim))
-                for a in range(self.dim)
-            ),
-        )
+        return self.from_components({(a, a): _ONE for a in range(self.dim)})
 
     def element(self, rows) -> DenseElement:
         return DenseElement(self.dim, rows)
@@ -227,6 +228,15 @@ class DenseAlgebra(CoefficientAlgebra):
         for (a, b), v in comps.items():
             rows[a][b] = _as_gauss(v)
         return DenseElement(self.dim, rows)
+
+    def lift(self, a: "BMatrix") -> tuple[np.ndarray, int]:
+        return _integer_tensor(a)
+
+    def fast_sum(self, constraint: Partition, lifts: list) -> DenseElement | None:
+        # one einsum subscript per block, per factor and for the chain's end
+        if len(constraint.blocks) + len(lifts) + 1 > len(_SUBSCRIPTS):
+            return None
+        return _tensor_sum(constraint, lifts, self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DenseAlgebra) and other.dim == self.dim
@@ -313,10 +323,7 @@ class MatrixUnitElement:
             )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def adjoint(self) -> "MatrixUnitElement":
         return MatrixUnitElement(
@@ -434,6 +441,14 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
                 terms[tuple(vals[block_of[pos]] for pos in range(1, 5))] = g
         return MatrixUnitElement(n, terms)
 
+    def lift(self, a: "BMatrix") -> tuple | None:
+        return _diagram_terms(a)
+
+    def fast_sum(self, constraint: Partition, lifts: list) -> MatrixUnitElement | None:
+        if math.prod(map(len, lifts)) > MAX_DIAGRAM_CHOICES:
+            return None
+        return _loop_sum(constraint, lifts, self)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, MatrixUnitAlgebra) and other.n == self.n
 
@@ -449,9 +464,9 @@ _UNLIFTED = object()
 class BMatrix:
     """A square matrix over a coefficient algebra: an element of M_N(B)."""
 
-    # _diagrams caches the partition-algebra lift of a matrix over matrix
-    # units (_diagram_terms); the matrix is immutable, so it is filled once
-    __slots__ = ("algebra", "size", "rows", "_diagrams")
+    # _lift caches algebra.lift(self); the matrix is immutable, so it is
+    # filled once
+    __slots__ = ("algebra", "size", "rows", "_lift")
 
     def __init__(self, algebra: CoefficientAlgebra, rows):
         rows = tuple(
@@ -466,7 +481,7 @@ class BMatrix:
         self.algebra = algebra
         self.size = size
         self.rows = rows
-        self._diagrams = _UNLIFTED
+        self._lift = _UNLIFTED
 
     @classmethod
     def identity(cls, algebra: CoefficientAlgebra, size: int) -> "BMatrix":
@@ -485,6 +500,12 @@ class BMatrix:
 
     def entry(self, r: int, c: int):
         return self.rows[r][c]
+
+    def lift(self):
+        """algebra.lift(self), computed on first use."""
+        if self._lift is _UNLIFTED:
+            self._lift = self.algebra.lift(self)
+        return self._lift
 
     def _check(self, other: "BMatrix") -> None:
         if other.size != self.size or other.algebra != self.algebra:
@@ -627,31 +648,22 @@ def constrained_sum(constraint: Partition, args):
 
     The 2m slots are the row and column indices in order (slot 2k-1 is A(k)'s
     row, slot 2k its column); the sum runs over all tuples i whose kernel is
-    refined by the constraint.  Three exact routes compute it:
-
-    - over a DenseAlgebra, one integer tensor contraction (_tensor_sum), while
-      einsum has subscripts enough;
-    - over a MatrixUnitAlgebra, when every factor is invariant under
-      simultaneous permutation of its indices, loop counting over
-      partition-algebra diagrams (_loop_sum), while there are at most
-      MAX_DIAGRAM_CHOICES choices of one diagram per factor;
-    - otherwise the transfer scan (_scan_sum), which is also the oracle the
-      other two routes are tested against.
+    refined by the constraint.  When every factor has a lift (BMatrix.lift)
+    and the algebra's fast_sum applies, its value is returned: an integer
+    tensor contraction over DenseAlgebra (_tensor_sum) while einsum has
+    subscripts enough, or loop counting over partition-algebra diagrams
+    (_loop_sum) for permutation-invariant matrices over MatrixUnitAlgebra with
+    at most MAX_DIAGRAM_CHOICES choices of one diagram per factor.  Otherwise
+    the transfer scan (_scan_sum) runs, the oracle of the fast routes.
     """
     args = _check_args(args)
-    m = len(args)
-    if constraint.size != 2 * m:
-        raise ValueError(f"constraint must partition {2 * m} slots")
-    algebra = args[0].algebra
-    if (
-        isinstance(algebra, DenseAlgebra)
-        and len(constraint.blocks) + m + 1 <= len(_SUBSCRIPTS)
-    ):
-        return _tensor_sum(constraint, args)
-    if isinstance(algebra, MatrixUnitAlgebra):
-        lifts = [_diagram_terms(a) for a in args]
-        if None not in lifts and math.prod(map(len, lifts)) <= MAX_DIAGRAM_CHOICES:
-            return _loop_sum(constraint, lifts, algebra)
+    if constraint.size != 2 * len(args):
+        raise ValueError(f"constraint must partition {2 * len(args)} slots")
+    lifts = [a.lift() for a in args]
+    if None not in lifts:
+        value = args[0].algebra.fast_sum(constraint, lifts)
+        if value is not None:
+            return value
     return _scan_sum(constraint, args)
 
 
@@ -662,69 +674,63 @@ _SUBSCRIPTS = string.ascii_letters
 _EINSUM_MEMORY = 10**6
 
 
+def _gaussian_integers(values) -> tuple[list, int]:
+    """The (re, im) parts of Gaussian rationals times L, as integer pairs,
+    and L, the lcm of the denominators of all the parts."""
+    values = list(values)
+    scale = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+    return [
+        (v.re.numerator * (scale // v.re.denominator),
+         v.im.numerator * (scale // v.im.denominator))
+        for v in values
+    ], scale
+
+
 def _integer_tensor(a: BMatrix) -> tuple[np.ndarray, int]:
     """L times a's entries in real 2d x 2d form, as Python ints, and L.
 
-    L is the lcm of the denominators of all real and imaginary parts; the
-    tensor has shape (N, N, 2d, 2d) with block [[re, -im], [im, re]].
+    L is the common denominator of _gaussian_integers; the tensor has shape
+    (N, N, 2d, 2d) with block [[re, -im], [im, re]].
     """
-    parts = [(v.re, v.im) for row in a.rows for x in row for r in x.rows for v in r]
-    scale = math.lcm(*(f.denominator for pair in parts for f in pair))
-    n, d = a.size, a.algebra.dim
-    ints = np.array(
-        [[f.numerator * (scale // f.denominator) for f in pair] for pair in parts],
-        dtype=object,
+    pairs, scale = _gaussian_integers(
+        v for row in a.rows for x in row for r in x.rows for v in r
     )
+    n, d = a.size, a.algebra.dim
+    ints = np.array(pairs, dtype=object)
     re, im = ints[:, 0].reshape(n, n, d, d), ints[:, 1].reshape(n, n, d, d)
-    out = np.empty((n, n, 2 * d, 2 * d), dtype=object)
-    out[:, :, :d, :d] = re
-    out[:, :, :d, d:] = -im
-    out[:, :, d:, :d] = im
-    out[:, :, d:, d:] = re
-    return out, scale
+    return np.block([[re, -im], [im, re]]), scale
 
 
-def _tensor_sum(constraint: Partition, args) -> DenseElement:
-    """The constrained sum as one einsum over exact integer tensors.
+def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseElement:
+    """The constrained sum as one einsum over the factors' integer tensors.
 
     Factor k carries the subscripts (block of slot 2k-1, block of slot 2k,
     chain k-1, chain k); contracting the chain multiplies the d x d blocks in
     order, and repeating a block's subscript imposes its index equalities.
     Python ints keep every value exact; the scales divide out at the end.
     """
-    m = len(args)
+    m = len(lifts)
     nblocks = len(constraint.blocks)
     block_of = {s: bid for bid, block in enumerate(constraint.blocks) for s in block}
     chain = _SUBSCRIPTS[nblocks:nblocks + m + 1]
-    tensors: dict[int, tuple[np.ndarray, int]] = {}
-    operands, terms = [], []
-    denominator = 1
-    for k, factor in enumerate(args, start=1):
-        if id(factor) not in tensors:
-            tensors[id(factor)] = _integer_tensor(factor)
-        tensor, scale = tensors[id(factor)]
-        operands.append(tensor)
-        denominator *= scale
-        terms.append(
-            _SUBSCRIPTS[block_of[2 * k - 1]] + _SUBSCRIPTS[block_of[2 * k]]
-            + chain[k - 1] + chain[k]
-        )
+    terms = [
+        _SUBSCRIPTS[block_of[2 * k - 1]] + _SUBSCRIPTS[block_of[2 * k]]
+        + chain[k - 1] + chain[k]
+        for k in range(1, m + 1)
+    ]
     spec = ",".join(terms) + "->" + chain[0] + chain[m]
-    total = np.einsum(spec, *operands, optimize=("greedy", _EINSUM_MEMORY))
-    d = args[0].algebra.dim
-    return DenseElement(
-        d,
-        tuple(
-            tuple(
-                GaussianRational(
-                    Fraction(total[a, b], denominator),
-                    Fraction(total[d + a, b], denominator),
-                )
-                for b in range(d)
-            )
-            for a in range(d)
-        ),
+    total = np.einsum(
+        spec, *(tensor for tensor, _ in lifts), optimize=("greedy", _EINSUM_MEMORY)
     )
+    denominator = math.prod(scale for _, scale in lifts)
+    d = algebra.dim
+    return algebra.from_components({
+        (a, b): GaussianRational(
+            Fraction(total[a, b], denominator), Fraction(total[d + a, b], denominator)
+        )
+        for a in range(d)
+        for b in range(d)
+    })
 
 
 # the most choices of one diagram per factor that _loop_sum walks.  Each
@@ -744,31 +750,28 @@ def _diagram_terms(a: BMatrix) -> tuple | None:
     on the blocks of pi and d_pi = sum_{k <= pi} mu(k, pi) x_k (Moebius
     inversion on the full partition lattice).  That holds at every N, since
     a class with more blocks than N has no tuples.  Returns the nonzero
-    (blocks as leg offsets 0..5, d_pi) pairs, computed once per matrix, or
-    None for a map that is not invariant.
+    (blocks as leg offsets 0..5, d_pi) pairs, or None for a map that is not
+    invariant.
     """
-    if a._diagrams is _UNLIFTED:
-        items = (
-            ((r, c) + quad, v)
-            for r, row in enumerate(a.rows, start=1)
-            for c, x in enumerate(row, start=1)
-            for quad, v in x.terms.items()
-        )
-        try:
-            orbits = _orbit_coefficients(items, a.size)
-        except ValueError:
-            a._diagrams = None
-            return None
-        coeffs: dict[Partition, GaussianRational] = {}
-        for kap, x in orbits.items():
-            for pi, mu in _coarsenings(kap):
-                coeffs[pi] = coeffs.get(pi, _ZERO) + x * mu
-        a._diagrams = tuple(
-            (tuple(tuple(leg - 1 for leg in block) for block in pi.blocks), d)
-            for pi, d in coeffs.items()
-            if d
-        )
-    return a._diagrams
+    items = (
+        ((r, c) + quad, v)
+        for r, row in enumerate(a.rows, start=1)
+        for c, x in enumerate(row, start=1)
+        for quad, v in x.terms.items()
+    )
+    try:
+        orbits = _orbit_coefficients(items, a.size)
+    except ValueError:
+        return None
+    coeffs: dict[Partition, GaussianRational] = {}
+    for kap, x in orbits.items():
+        for pi, mu in _coarsenings(kap):
+            coeffs[pi] = coeffs.get(pi, _ZERO) + x * mu
+    return tuple(
+        (tuple(tuple(leg - 1 for leg in block) for block in pi.blocks), d)
+        for pi, d in coeffs.items()
+        if d
+    )
 
 
 @lru_cache(maxsize=None)
@@ -814,15 +817,11 @@ def _loop_sum(constraint: Partition, lifts, algebra: MatrixUnitAlgebra):
     choices = []
     denominator = 1
     for k, lift in enumerate(lifts):
-        scale = math.lcm(*(f.denominator for _, d in lift for f in (d.re, d.im)))
+        pairs, scale = _gaussian_integers(d for _, d in lift)
         denominator *= scale
         choices.append([
-            (
-                [(6 * k + b[0], 6 * k + leg) for b in blocks for leg in b[1:]],
-                d.re.numerator * (scale // d.re.denominator),
-                d.im.numerator * (scale // d.im.denominator),
-            )
-            for blocks, d in lift
+            ([(6 * k + b[0], 6 * k + leg) for b in blocks for leg in b[1:]], re, im)
+            for (blocks, _), (re, im) in zip(lift, pairs)
         ])
     # (output pattern, closed loops) -> Gaussian integer [re, im]
     totals: dict[tuple, list] = {}

@@ -4,6 +4,7 @@ Every test drives ``main(argv)`` directly and inspects the exit code plus
 captured stdout/stderr, so the full parse-dispatch-emit path is covered.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -70,6 +71,29 @@ BAD_SCENARIOS = [
     ("n-range-over-cap", {"n_range": [2, 1000000000]},
      "n_range: sizes are capped at 16, got 1000000000"),
 ]
+
+
+# exact_digest of `freeness` on each shipped scenario at its default range,
+# each of six or more sizes; a change to any exact output shows here
+PINNED_FREENESS = {
+    "classical_flip": "0523843ddb73531dbaef0cc13332aa512a8cce01d44899944d8cbffaa2070db1",
+    "dense_circulant": "356f867e9c2ad5083fc5437a9cd3d22a4aef63987c1a0a058447d7ec22873442",
+    "diagonal_pattern": "5d6782a45688ba3f42866f9b49461601a1f0c0eb0dc61e1f882c72e9d4aac925",
+    "infinitesimal_flip": "558337abdf3de75bc2dd6c53626e30601e23b557b3163528b319614e51076ca0",
+    "matrix_unit_flip": "3990ce13cb278fa63138e99acb42e9738e3145555b6b264bdded8d9ed859d3b9",
+}
+
+
+def exact_digest(code: int, payload: dict) -> str:
+    """Digest of each row's n and value, slope_ok, n2_bounded, verdict, the
+    verdicts block and the exit code; the float fields are left out."""
+    results = payload["results"]
+    exact = [
+        [[row["n"], row["value"]] for row in results["rows"]],
+        results["slope_ok"], results["n2_bounded"], results["verdict"],
+        payload["verdicts"], code,
+    ]
+    return hashlib.sha256(json.dumps(exact, sort_keys=True).encode()).hexdigest()
 
 
 def run(capsys, argv):
@@ -279,13 +303,13 @@ class TestFreeness:
             [
                 "freeness",
                 "--scenario", str(SCENARIO_DIR / "matrix_unit_flip.json"),
-                "--n-max", "6",
+                "--n-max", "7",
             ],
         )
         assert code == 0
         assert payload["verdicts"]["verdict"] is True
         rows = payload["results"]["rows"]
-        assert [r["n"] for r in rows] == [2, 3, 4, 5, 6]
+        assert [r["n"] for r in rows] == [2, 3, 4, 5, 6, 7]
         assert rows[-1]["delta"] < rows[0]["delta"]
 
     def test_classical_flip_fails_quantum_criterion(self, capsys):
@@ -307,7 +331,7 @@ class TestFreeness:
             [
                 "freeness",
                 "--scenario", str(SCENARIO_DIR / "matrix_unit_flip.json"),
-                "--n-max", "5",
+                "--n-max", "7",
                 "--format", "csv",
             ],
         )
@@ -340,6 +364,33 @@ class TestFreeness:
         assert payload["results"]["n2_bounded"] is True
         assert payload["results"]["verdict"] is False
         assert payload["verdicts"]["verdict"] is False
+
+    @pytest.mark.parametrize(
+        "name, n_min, n_max",
+        [("classical_flip", "5", "5"), ("matrix_unit_flip", "4", "8")],
+        ids=["one-size", "five-sizes"],
+    )
+    def test_fewer_than_six_sizes_do_not_pass(self, capsys, name, n_min, n_max):
+        # both diagnostics pass on so little evidence, the verdict does not
+        code, payload = run_json(
+            capsys,
+            [
+                "freeness",
+                "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+                "--n-min", n_min,
+                "--n-max", n_max,
+            ],
+        )
+        assert code == 1
+        assert payload["verdicts"] == {"slope_ok": True, "n2_bounded": True, "verdict": False}
+        assert payload["results"]["verdict"] is False
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FREENESS))
+    def test_shipped_scenario_output_is_pinned(self, capsys, name):
+        code, payload = run_json(
+            capsys, ["freeness", "--scenario", str(SCENARIO_DIR / f"{name}.json")]
+        )
+        assert exact_digest(code, payload) == PINNED_FREENESS[name]
 
     def test_pole_blames_n_min(self, capsys):
         code, out, err = run(

@@ -310,7 +310,7 @@ class TestCounterexample:
 class TestConvergenceReport:
     def test_quantum_flip_report(self):
         scn = load_scenario(SCENARIO_DIR / "matrix_unit_flip.json")
-        rep = scn.report(n_range=range(2, 7))
+        rep = scn.report(n_range=range(2, 8))
         assert rep.verdict
         assert rep.slope is not None and rep.slope <= -1.7
         assert rep.n2_bounded
@@ -516,7 +516,7 @@ class TestScenarios:
 
 class TestFiniteDim:
     def test_small_run_is_bounded(self):
-        rep = finite_dim_scenario(1, n_range=range(4, 7))
+        rep = finite_dim_scenario(1, n_range=range(4, 10))
         assert rep.n2_bounded
         assert rep.verdict
 

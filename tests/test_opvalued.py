@@ -18,6 +18,7 @@ from qhaar.freeness import (
     _slot_partition,
     counterexample_word,
     lhs_exact,
+    limit_formula,
     load_scenario,
 )
 from qhaar.opvalued import (
@@ -655,13 +656,21 @@ class TestLoopSum:
         assert sorted(blocks) == [(0, 3), (1, 2), (4, 5)]
         assert d == GaussianRational.one()
 
-    def test_each_factor_is_lifted_once(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["matrix-units", "dense"])
+    def test_each_factor_is_lifted_once(self, monkeypatch, case):
+        # a factor enters one sum per pairing pair and one per sigma of the
+        # limit formula, and its lift is computed once all the same
+        if case == "matrix-units":
+            lifter, word = "_orbit_coefficients", counterexample_word(4, "quantum")
+        else:
+            lifter = "_integer_tensor"
+            word = load_scenario(SCENARIO_DIR / "dense_circulant.json").word_at(3)
         calls = []
-        orbit = opvalued._orbit_coefficients
-        monkeypatch.setattr(
-            opvalued, "_orbit_coefficients", lambda *a: calls.append(1) or orbit(*a)
-        )
-        lhs_exact(counterexample_word(4, "quantum"), 4)
+        lift = getattr(opvalued, lifter)
+        monkeypatch.setattr(opvalued, lifter, lambda *a: calls.append(1) or lift(*a))
+        lhs_exact(word, word.size)
+        limit_formula(word)
+        assert len({id(f) for f in word.all_factors()}) == 2
         assert len(calls) == 2
 
     @pytest.mark.parametrize("case", ["invariant", "not-invariant", "over-bound"])
