@@ -672,6 +672,9 @@ _SUBSCRIPTS = string.ascii_letters
 # intermediate size cap for einsum's greedy path; numpy's default (the size
 # of the largest input) forces the naive contraction on cyclic slot patterns
 _EINSUM_MEMORY = 10**6
+# greedy contraction paths by (spec, operand shapes); the sums of one run
+# repeat a few dozen specs, so each path is searched once
+_EINSUM_PATHS: dict[tuple[str, tuple], list] = {}
 
 
 def _gaussian_integers(values) -> tuple[list, int]:
@@ -719,9 +722,14 @@ def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseEle
         for k in range(1, m + 1)
     ]
     spec = ",".join(terms) + "->" + chain[0] + chain[m]
-    total = np.einsum(
-        spec, *(tensor for tensor, _ in lifts), optimize=("greedy", _EINSUM_MEMORY)
-    )
+    tensors = [tensor for tensor, _ in lifts]
+    key = (spec, tuple(tensor.shape for tensor in tensors))
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = _EINSUM_PATHS[key] = np.einsum_path(
+            spec, *tensors, optimize=("greedy", _EINSUM_MEMORY)
+        )[0]
+    total = np.einsum(spec, *tensors, optimize=path)
     denominator = math.prod(scale for _, scale in lifts)
     d = algebra.dim
     return algebra.from_components({

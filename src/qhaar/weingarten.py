@@ -172,12 +172,16 @@ class WeingartenTable:
 
 
 _TABLE_CACHE: dict[tuple[str, str], WeingartenTable] = {}
+# sign patterns with the same family share a Gram matrix (1* and *1, or a
+# quantum and a classical pattern without crossing pairings)
+_INVERSE_CACHE: dict[FieldMatrix, FieldMatrix] = {}
 
 
 def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     """Enumerate the pairing family for eps and invert its Gram matrix exactly.
 
-    Results are cached by (flavor, pattern); cached tables are immutable.
+    Results are cached by (flavor, pattern) and inverses by Gram matrix;
+    cached tables are immutable.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}")
@@ -198,7 +202,10 @@ def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
         )
         rows.append(row)
     gram = FieldMatrix(tuple(rows))
-    table = WeingartenTable(flavor, eps, family, gram, gram.invert())
+    wg = _INVERSE_CACHE.get(gram)
+    if wg is None:
+        wg = _INVERSE_CACHE[gram] = gram.invert()
+    table = WeingartenTable(flavor, eps, family, gram, wg)
     _TABLE_CACHE[key] = table
     return table
 
@@ -211,6 +218,29 @@ def _refines_kernel(pairing: Partition, values: tuple[int, ...]) -> bool:
 
 
 _WEIGHT_CACHE: dict = {}
+_CUMULANT_CACHE: dict[Partition, dict[Partition, int]] = {}
+
+
+def _cumulant_coefficients(ker_l: Partition) -> dict[Partition, int]:
+    """c(omega) = sum of mu(omega, tau) over noncrossing omega <= tau <= ker_l.
+
+    The free-product state of a word with label kernel ker_l is the sum over
+    noncrossing omega of c(omega) times the product of one-copy states over
+    the blocks of omega; only the nonzero coefficients are kept, in the
+    enumeration order of NC(k).  Every omega and tau involved refines ker_l,
+    so the double sum runs over that short list; sign patterns do not enter.
+    """
+    cached = _CUMULANT_CACHE.get(ker_l)
+    if cached is not None:
+        return cached
+    below = [tau for tau in enumerate_family("nc", ker_l.size).members if leq(tau, ker_l)]
+    coefficients = {}
+    for omega in below:
+        tot = sum(mobius(omega, tau) for tau in below if leq(omega, tau))
+        if tot:
+            coefficients[omega] = tot
+    _CUMULANT_CACHE[ker_l] = coefficients
+    return coefficients
 
 
 def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dict:
@@ -240,12 +270,7 @@ def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dic
                 f"multi-label words support at most {MULTI_LABEL_CAP} letters, got {k}"
             )
         table = build_table("quantum", eps)
-        ncs = enumerate_family("nc", k).members
-        c_omega: dict[Partition, int] = {}
-        for omega in ncs:
-            tot = sum(mobius(omega, tau) for tau in ncs if leq(omega, tau) and leq(tau, ker_l))
-            if tot:
-                c_omega[omega] = tot
+        c_omega = _cumulant_coefficients(ker_l)
         weights = {}
         for p in table.family:
             for q in table.family:

@@ -568,6 +568,30 @@ class TestTensorSum:
         monkeypatch.setattr(opvalued, refused, refuse)
         assert constrained_sum(constraint, args) == expected
 
+    def test_each_contraction_path_is_searched_once(self, monkeypatch):
+        # the sums of lhs_exact and the limit formula repeat their (spec,
+        # operand shapes) keys, and the greedy path search runs once per key
+        monkeypatch.setattr(opvalued, "_EINSUM_PATHS", {})
+        searched, contracted = [], []
+        search, contract = np.einsum_path, np.einsum
+
+        def counted_search(spec, *operands, **kwargs):
+            searched.append((spec, tuple(op.shape for op in operands)))
+            return search(spec, *operands, **kwargs)
+
+        def counted_contract(spec, *operands, **kwargs):
+            contracted.append(spec)
+            return contract(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", counted_search)
+        monkeypatch.setattr(np, "einsum", counted_contract)
+        word = load_scenario(SCENARIO_DIR / "dense_circulant.json").word_at(3)
+        lhs_exact(word, word.size)
+        limit_formula(word)
+        assert searched
+        assert len(searched) == len(set(searched))
+        assert len(contracted) > len(searched)
+
 
 def rand_diagrams(rng, n: int, terms: int, max_blocks: int = 3) -> list:
     """Random delta diagrams on six legs with complex coefficients, some of

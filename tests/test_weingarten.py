@@ -110,6 +110,21 @@ class TestBuildTable:
     def test_caching_returns_same_object(self):
         assert build_table("quantum", ALT4) is build_table("quantum", ALT4)
 
+    def test_equal_gram_matrices_share_one_inverse(self, monkeypatch):
+        monkeypatch.setattr(weingarten, "_TABLE_CACHE", {})
+        monkeypatch.setattr(weingarten, "_INVERSE_CACHE", {})
+        assert build_table("quantum", "1*").wg is build_table("quantum", "*1").wg
+        # 1*1* has no crossing pairing, so both flavors have one family
+        assert build_table("quantum", ALT4).wg is build_table("classical", ALT4).wg
+        assert build_table("quantum", ALT6).wg is not build_table("classical", ALT6).wg
+
+    @pytest.mark.parametrize("flavor", ["quantum", "classical"])
+    def test_shared_inverse_equals_a_fresh_inversion(self, flavor):
+        for length in (2, 4, 6):
+            for eps in all_sign_patterns(length):
+                table = build_table(flavor, eps)
+                assert table.wg == table.gram.invert()
+
     def test_size_caps(self):
         with pytest.raises(ValueError):
             build_table("quantum", SignPattern.alternating(10))
@@ -207,6 +222,50 @@ class TestWordMoment:
 
     def test_freeness_shares_the_weight_cache(self):
         assert freeness._WEIGHT_CACHE is weingarten._WEIGHT_CACHE
+
+
+class TestCumulantCoefficients:
+    @staticmethod
+    def double_sum(ker):
+        # the unrestricted sum over NC(k) x NC(k)
+        ncs = enumerate_family("nc", ker.size).members
+        out = {}
+        for omega in ncs:
+            tot = sum(mobius(omega, tau) for tau in ncs if leq(omega, tau) and leq(tau, ker))
+            if tot:
+                out[omega] = tot
+        return out
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_noncrossing_kernel_is_its_own_coefficient(self, k):
+        # the Moebius identity: sum of mu(omega, tau) over omega <= tau <= pi
+        # is 1 if omega = pi and 0 otherwise
+        for ker in enumerate_family("nc", k).members:
+            assert weingarten._cumulant_coefficients(ker) == {ker: 1}
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_crossing_kernel_matches_the_double_sum(self, k):
+        kernels = [
+            ker for ker in enumerate_family("all", k).members
+            if not ker.is_noncrossing() and (k == 4 or len(ker.blocks) == 2)
+        ]
+        assert kernels
+        for ker in kernels:
+            got = weingarten._cumulant_coefficients(ker)
+            expected = self.double_sum(ker)
+            assert got == expected
+            assert list(got) == list(expected)
+
+    def test_sign_patterns_share_one_entry(self, monkeypatch):
+        # the coefficients depend on the label kernel alone
+        cache: dict = {}
+        monkeypatch.setattr(weingarten, "_CUMULANT_CACHE", cache)
+        monkeypatch.setattr(weingarten, "_WEIGHT_CACHE", {})
+        labels = (1, 1, 2, 2, 1, 1)
+        for signs in ("1*1**1", "1**11*"):
+            word_moment(EntryWord.of(*[(1, 1, s, "u", lab) for s, lab in zip(signs, labels)]))
+        assert len(weingarten._WEIGHT_CACHE) == 2
+        assert list(cache) == [kernel(labels)]
 
 
 class TestAdjointReduce:
