@@ -15,6 +15,7 @@ the command line and the acceptance checks.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -23,6 +24,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,8 +39,10 @@ from .opvalued import (
     CoefficientAlgebra,
     DenseAlgebra,
     DenseElement,
+    DiagramMatrix,
     MatrixUnitAlgebra,
     MatrixUnitElement,
+    _diagram_terms,
     constrained_sum,
     expectation,
     evaluate_expression,
@@ -530,7 +534,29 @@ class FamilySpec:
     kind: str
     payload: object
 
+    @cached_property
+    def diagrams(self) -> dict | None:
+        """The partition-algebra terms of a matrix_unit_pattern family whose
+        entry passes _lifts_at_every_n, or None.
+
+        Lifted once, at N = 6, where every diagram has members and the lift
+        is unique; every other family is built at each N.
+        """
+        if self.kind != "matrix_unit_pattern" or not _lifts_at_every_n(
+            parse_expression(self.payload, ENTRY_NAMES)
+        ):
+            return None
+        return {
+            Partition(6, tuple(tuple(leg + 1 for leg in b) for b in blocks)): d
+            for blocks, d in _diagram_terms(self._entries(MatrixUnitAlgebra(6), 6))
+        }
+
     def matrix(self, algebra: CoefficientAlgebra, n: int) -> BMatrix:
+        if self.diagrams is not None:
+            return DiagramMatrix(algebra, self.diagrams)
+        return self._entries(algebra, n)
+
+    def _entries(self, algebra: CoefficientAlgebra, n: int) -> BMatrix:
         rng = range(1, n + 1)
         if self.kind == "matrix_unit_pattern":
             tree = parse_expression(self.payload, ENTRY_NAMES)
@@ -583,6 +609,28 @@ class FamilySpec:
         raise ValueError(f"unknown family constructor: {self.kind}")
 
 
+def _lifts_at_every_n(tree: ast.Expression) -> bool:
+    """Whether an entry expression is one partition-algebra element at every
+    N: every E(...) index is a bare i or j, i and j appear nowhere else, and
+    N does not occur.  Such an entry is a fixed polynomial in the deltas of
+    its indices, whose diagram coefficients do not depend on N."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            args = node.args
+            if not (
+                node.func.id == "E"
+                and len(args) == 3
+                and isinstance(args[0], ast.Constant) and args[0].value in (1, 2)
+                and all(isinstance(x, ast.Name) and x.id in ("i", "j") for x in args[1:])
+            ):
+                return False
+            allowed.update(map(id, [node.func, *args[1:]]))
+    return all(
+        id(node) in allowed for node in ast.walk(tree) if isinstance(node, ast.Name)
+    )
+
+
 @dataclass
 class Scenario:
     """A flavor, a coefficient algebra, named families, a word, and a range."""
@@ -626,9 +674,22 @@ class Scenario:
             self._cache[key] = cached
         return cached
 
+    def identity(self, n: int) -> BMatrix:
+        """The identity of M_N(B); over matrix units, one diagram."""
+        matrix = DiagramMatrix if self.kind == "matrix_unit" else BMatrix
+        return matrix.identity(self.algebra(n), n)
+
+    def constant(self, pattern: "ConstantPattern", n: int) -> BMatrix:
+        """The identity of M_N(B) times a size-independent element; over
+        matrix units, straight from its kernel-class coefficients."""
+        algebra = self.algebra(n)
+        if self.kind == "matrix_unit":
+            return DiagramMatrix.scalar(algebra, pattern.entries)
+        return _scalar_matrix(algebra, n, pattern.value_element(algebra))
+
     def word_at(self, n: int) -> MixedWord:
         mats = {name: self.family_matrix(name, n) for name in self.families}
-        one = BMatrix.identity(self.algebra(n), n)
+        one = self.identity(n)
         letters = []
         for t, (label, sign, expr) in enumerate(self.word, 1):
             with _field(f"word letter {t}"):
@@ -1053,15 +1114,14 @@ class InfinitesimalPair:
         exact evaluator expects.
         """
         scenario = self.scenario
-        algebra = scenario.algebra(n)
         seq: list = []
         for tok in tokens:
             if tok.kind == "const":
-                seq.append(_scalar_matrix(algebra, n, tok.pattern.value_element(algebra)))
+                seq.append(scenario.constant(tok.pattern, n))
             elif tok.kind in ("rotated", "plain"):
                 mat = scenario.family_matrix(tok.symbol, n)
                 if tok.center is not None and not tok.center.is_zero():
-                    mat = mat - _scalar_matrix(algebra, n, tok.center.value_element(algebra))
+                    mat = mat - scenario.constant(tok.center, n)
                 if tok.kind == "rotated":
                     seq.extend([("u", "1"), mat, ("u", "*")])
                 else:
@@ -1077,7 +1137,7 @@ class InfinitesimalPair:
                 stack[-1] = top @ item
             else:
                 stack.append(item)
-        ident = BMatrix.identity(algebra, n)
+        ident = scenario.identity(n)
         lead = None
         idx = 0
         if stack and not isinstance(stack[0], tuple):

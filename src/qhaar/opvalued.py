@@ -17,7 +17,9 @@ kernel class of a permutation-invariant element for MatrixUnitAlgebra.
 Each algebra is also where a constrained-sum backend plugs in: lift gives
 the exact form of a matrix that its fast_sum reads (BMatrix caches it), an
 integer tensor for DenseAlgebra and partition-algebra diagrams for
-permutation-invariant matrices over MatrixUnitAlgebra.  Every other sum takes
+permutation-invariant matrices over MatrixUnitAlgebra.  A DiagramMatrix
+holds such a matrix as its diagrams and multiplies by composing them, so it
+is its own lift and builds its entries only on demand.  Every other sum takes
 the transfer scan, the oracle of the fast routes.  E^(sigma) is N^-|sigma|
 times the constrained sum over fatten(sigma); its block-extraction oracle
 lives in qhaar.oracles.
@@ -48,6 +50,7 @@ __all__ = [
     "MatrixUnitAlgebra",
     "MatrixUnitElement",
     "BMatrix",
+    "DiagramMatrix",
     "NormCheck",
     "expectation",
     "functional_e",
@@ -252,44 +255,59 @@ class MatrixUnitElement:
 
     terms maps 1-based index quadruples (a, b, c, d) to nonzero coefficients;
     the symbol (a, b, c, d) denotes E_ab of the first matrix-unit system times
-    E_cd of the second (the systems commute).
+    E_cd of the second (the systems commute).  An element built from
+    kernel-class coordinates (MatrixUnitAlgebra.from_components) keeps them
+    in classes and expands its terms on first use; sums and scalar multiples
+    of such elements stay in classes.  classes is None for the others.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms", "classes")
 
     def __init__(self, n: int, terms: dict):
         self.n = n
-        self.terms = {k: v for k, v in terms.items() if v}
+        self._terms = {k: v for k, v in terms.items() if v}
+        self.classes = None
 
     @classmethod
-    def _raw(cls, n: int, terms: dict) -> "MatrixUnitElement":
+    def _raw(cls, n: int, terms: dict | None, classes: dict | None = None) -> "MatrixUnitElement":
         # trusted constructor for internal results whose values are nonzero
         obj = object.__new__(cls)
         obj.n = n
-        obj.terms = terms
+        obj._terms = terms
+        obj.classes = classes
         return obj
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = {}
+            for kap, g in self.classes.items():
+                block_of = {pos: t for t, block in enumerate(kap.blocks) for pos in block}
+                for vals in itertools.permutations(range(1, self.n + 1), len(kap.blocks)):
+                    self._terms[tuple(vals[block_of[pos]] for pos in range(1, 5))] = g
+        return self._terms
 
     def _check(self, other: "MatrixUnitElement") -> None:
         if not isinstance(other, MatrixUnitElement) or other.n != self.n:
             raise TypeError("matrix-unit elements of mismatched size")
 
+    def _map(self, fn) -> "MatrixUnitElement":
+        """fn applied to every coefficient, in the same representation."""
+        if self.classes is not None:
+            return MatrixUnitElement._raw(self.n, None, _map_nonzero(fn, self.classes))
+        return MatrixUnitElement._raw(self.n, _map_nonzero(fn, self.terms))
+
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s:
-                out[k] = s
-            elif cur is not None:
-                del out[k]
-        return MatrixUnitElement._raw(self.n, out)
+        if self.classes is not None and other.classes is not None:
+            return MatrixUnitElement._raw(self.n, None, _dict_sum(self.classes, other.classes))
+        return MatrixUnitElement._raw(self.n, _dict_sum(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return MatrixUnitElement._raw(self.n, {k: -v for k, v in self.terms.items()})
+        return self._map(operator.neg)
 
     def __mul__(self, other):
         if isinstance(other, MatrixUnitElement):
@@ -316,11 +334,7 @@ class MatrixUnitElement:
             return MatrixUnitElement._raw(self.n, out)
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _as_gauss(other)
-            if not c:
-                return MatrixUnitElement._raw(self.n, {})
-            return MatrixUnitElement._raw(
-                self.n, {k: v * c for k, v in self.terms.items()}
-            )
+            return self._map(lambda v: v * c)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -331,20 +345,38 @@ class MatrixUnitElement:
         )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.terms if self.classes is None else self.classes)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixUnitElement)
-            and other.n == self.n
-            and other.terms == self.terms
-        )
+        if not isinstance(other, MatrixUnitElement) or other.n != self.n:
+            return False
+        if self.classes is not None and other.classes is not None:
+            # nonempty kernel classes have disjoint supports
+            return self.classes == other.classes
+        return other.terms == self.terms
 
     __hash__ = None
 
     def __repr__(self) -> str:
         items = ", ".join(f"{k}: {v}" for k, v in sorted(self.terms.items()))
         return f"MatrixUnitElement({self.n}, {{{items}}})"
+
+
+def _map_nonzero(fn, values: dict) -> dict:
+    return {k: w for k, v in values.items() if (w := fn(v))}
+
+
+def _dict_sum(a: dict, b: dict) -> dict:
+    """The zero-free sum of two zero-free coefficient maps."""
+    out = dict(a)
+    for k, v in b.items():
+        cur = out.get(k)
+        s = v if cur is None else cur + v
+        if s:
+            out[k] = s
+        elif cur is not None:
+            del out[k]
+    return out
 
 
 def _orbit_coefficients(items, n: int) -> dict:
@@ -371,6 +403,10 @@ def _orbit_coefficients(items, n: int) -> dict:
     return {kernel(key): v for key, v in coeffs.items()}
 
 
+# the kernel classes of the index tuples of one(): a = b, c = d
+_ONE_CLASSES = (Partition(4, ((1, 2), (3, 4))), Partition.full(4))
+
+
 class MatrixUnitAlgebra(CoefficientAlgebra):
     """Two commuting N x N matrix-unit systems; basis E_ab(1) E_cd(2)."""
 
@@ -380,14 +416,11 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         self.n = n
 
     def zero(self) -> MatrixUnitElement:
-        return MatrixUnitElement(self.n, {})
+        return self.from_components({})
 
     def one(self) -> MatrixUnitElement:
-        n = self.n
-        return MatrixUnitElement(
-            self.n,
-            {(a, a, c, c): _ONE for a in range(1, n + 1) for c in range(1, n + 1)},
-        )
+        # sum_ac E_aa(1) E_cc(2): the tuples with a = b and c = d
+        return self.from_components({_ONE_CLASSES[0]: _ONE, _ONE_CLASSES[1]: _ONE})
 
     def unit(self, system: int, a: int, b: int) -> MatrixUnitElement:
         """The symbol E_ab of one system, completed with the other's identity."""
@@ -424,22 +457,18 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         """
         if self.n < 4:
             raise ValueError("matrix-unit coordinates need N >= 4")
+        if x.classes is not None:
+            return dict(x.classes)
         return _orbit_coefficients(x.terms.items(), self.n)
 
     def from_components(self, comps: dict) -> MatrixUnitElement:
-        """Expand kernel-class coefficients over the injective index maps;
-        a class with more blocks than N has no members."""
+        """The element with these kernel-class coefficients, kept as classes;
+        its terms expand over the injective index maps on first use.  A class
+        with more blocks than N has no members and is dropped."""
         n = self.n
-        terms = {}
-        for kap, v in comps.items():
-            r = len(kap.blocks)
-            if r > n:
-                continue
-            block_of = {pos: t for t, block in enumerate(kap.blocks) for pos in block}
-            g = _as_gauss(v)
-            for vals in itertools.permutations(range(1, n + 1), r):
-                terms[tuple(vals[block_of[pos]] for pos in range(1, 5))] = g
-        return MatrixUnitElement(n, terms)
+        return MatrixUnitElement._raw(n, None, {
+            kap: g for kap, v in comps.items() if len(kap.blocks) <= n and (g := _as_gauss(v))
+        })
 
     def lift(self, a: "BMatrix") -> tuple | None:
         return _diagram_terms(a)
@@ -496,7 +525,7 @@ class BMatrix:
     @classmethod
     def zero(cls, algebra: CoefficientAlgebra, size: int) -> "BMatrix":
         z = algebra.zero()
-        return cls(algebra, tuple((z,) * size for _ in range(size)))
+        return BMatrix(algebra, tuple((z,) * size for _ in range(size)))
 
     def entry(self, r: int, c: int):
         return self.rows[r][c]
@@ -590,13 +619,146 @@ class BMatrix:
         """Spectral norm of the block matrix, from numpy's SVD-based 2-norm."""
         return float(np.linalg.norm(self.to_complex_array(), 2))
 
+    def expectation(self):
+        """E_N = tr_N (x) id_B: the exact normalized sum of diagonal entries."""
+        acc = self.algebra.zero()
+        for t in range(self.size):
+            acc = acc + self.rows[t][t]
+        return acc * Fraction(1, self.size)
+
+
+# the identity of M_N(B) on the legs (r, c, a, b, a', b'): r = c, a = b, a' = b'
+_IDENTITY_DIAGRAM = Partition(6, ((1, 2), (3, 4), (5, 6)))
+
+
+class DiagramMatrix(BMatrix):
+    """An S_N-invariant matrix over MatrixUnitAlgebra(N) as an element of the
+    partition algebra P_3(N).
+
+    terms maps partitions of the six legs (r, c, a, b, a', b') to nonzero
+    coefficients: entry (r, c) is the sum of x E_ab(1) E_a'b'(2) over the
+    index values, where x sums the coefficients of the diagrams whose blocks
+    the legs' values are constant on.  The map from diagrams to matrices is
+    an algebra homomorphism at every N (Halverson-Ram, "Partition algebras",
+    2005), so +, scalar multiples and @ (diagram composition, one factor N
+    per closed component) are exact at every N, also below N = 6 where two
+    combinations of diagrams can give one matrix.  lift() reads the terms;
+    rows, the entries, are built on first use, for the transfer scan, norms
+    and comparisons.  An operand that is a plain BMatrix takes the BMatrix
+    operation on the entries.
+    """
+
+    __slots__ = ("terms", "_rows")
+
+    def __init__(self, algebra: MatrixUnitAlgebra, terms: dict):
+        self.algebra = algebra
+        self.size = algebra.n
+        self.terms = {pi: g for pi, v in terms.items() if (g := _as_gauss(v))}
+        self._rows = None
+        self._lift = _UNLIFTED
+
+    @classmethod
+    def identity(cls, algebra: MatrixUnitAlgebra, size: int) -> "DiagramMatrix":
+        if size != algebra.n:
+            raise ValueError("a diagram matrix has the size of its matrix units")
+        return cls(algebra, {_IDENTITY_DIAGRAM: _ONE})
+
+    @classmethod
+    def scalar(cls, algebra: MatrixUnitAlgebra, comps: dict) -> "DiagramMatrix":
+        """The identity times the element with these kernel-class coordinates,
+        by Moebius inversion: the class of kap is the sum over pi >= kap of
+        mu(kap, pi) delta_pi on (a, b, a', b'), and r = c."""
+        terms: dict[Partition, GaussianRational] = {}
+        for kap, x in comps.items():
+            for pi, mu in _coarsenings(kap):
+                key = Partition(6, ((1, 2),) + tuple(tuple(p + 2 for p in b) for b in pi.blocks))
+                terms[key] = terms.get(key, _ZERO) + _as_gauss(x) * mu
+        return cls(algebra, terms)
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            n = self.size
+            cells = [[{} for _ in range(n)] for _ in range(n)]
+            for pi, d in self.terms.items():
+                for values in itertools.product(range(1, n + 1), repeat=len(pi.blocks)):
+                    legs = [0] * 6
+                    for block, v in zip(pi.blocks, values):
+                        for leg in block:
+                            legs[leg - 1] = v
+                    cell = cells[legs[0] - 1][legs[1] - 1]
+                    quad = tuple(legs[2:])
+                    cell[quad] = cell.get(quad, _ZERO) + d
+            self._rows = tuple(tuple(MatrixUnitElement(n, c) for c in row) for row in cells)
+        return self._rows
+
+    def lift(self) -> tuple:
+        if self._lift is _UNLIFTED:
+            self._lift = _leg_offsets(self.terms)
+        return self._lift
+
+    def __matmul__(self, other: BMatrix) -> BMatrix:
+        if not isinstance(other, DiagramMatrix):
+            return super().__matmul__(other)
+        self._check(other)
+        n = self.size
+        out: dict[Partition, GaussianRational] = {}
+        for p, x in self.terms.items():
+            for q, y in other.terms.items():
+                pi, closed = _compose(p, q)
+                out[pi] = out.get(pi, _ZERO) + x * y * n**closed
+        return DiagramMatrix(self.algebra, out)
+
+    def __add__(self, other: BMatrix) -> BMatrix:
+        if not isinstance(other, DiagramMatrix):
+            return super().__add__(other)
+        self._check(other)
+        return DiagramMatrix(self.algebra, _dict_sum(self.terms, other.terms))
+
+    def scale(self, c) -> "DiagramMatrix":
+        c = _as_gauss(c)
+        return DiagramMatrix(self.algebra, {pi: v * c for pi, v in self.terms.items()})
+
+    def expectation(self) -> MatrixUnitElement:
+        """E_N as the partial trace over (r, c), divided by N: joining r to c
+        closes a loop when the two legs form a block of their own."""
+        n = self.size
+        classes: dict[Partition, GaussianRational] = {}
+        for pi, d in self.terms.items():
+            pattern, closed = _glued(pi, 6, ((0, 1),), (2, 3, 4, 5))
+            v = d * Fraction(n**closed, n)
+            for kap, _ in _coarsenings(pattern):
+                classes[kap] = classes.get(kap, _ZERO) + v
+        return self.algebra.from_components(classes)
+
+
+@lru_cache(maxsize=None)
+def _compose(p: Partition, q: Partition) -> tuple[Partition, int]:
+    """The diagram of p @ q and its closed components: p's legs (c, b, b')
+    are glued to q's legs (r, a, a')."""
+    shifted = Partition(12, p.blocks + tuple(tuple(leg + 6 for leg in b) for b in q.blocks))
+    return _glued(shifted, 12, ((1, 6), (3, 8), (5, 10)), (0, 7, 2, 9, 4, 11))
+
+
+@lru_cache(maxsize=None)
+def _glued(pi: Partition, nlegs: int, glue: tuple, outputs: tuple) -> tuple[Partition, int]:
+    """Join the blocks of pi (legs 1..nlegs) along the glued 0-based leg
+    pairs; the partition the outputs fall into and the number of components
+    that meet no output."""
+    parent = list(range(nlegs))
+    for block in pi.blocks:
+        for leg in block[1:]:
+            _union(parent, block[0] - 1, leg - 1)
+    for x, y in glue:
+        _union(parent, x, y)
+    roots = [_find(parent, x) for x in outputs]
+    closed = len({_find(parent, x) for x in range(nlegs)}) - len(set(roots))
+    return kernel(roots), closed
+
 
 def expectation(a: BMatrix):
-    """E_N = tr_N (x) id_B: the exact normalized sum of diagonal entries."""
-    acc = a.algebra.zero()
-    for t in range(a.size):
-        acc = acc + a.rows[t][t]
-    return acc * Fraction(1, a.size)
+    """E_N = tr_N (x) id_B of a matrix over B."""
+    return a.expectation()
 
 
 def _check_args(args) -> list:
@@ -743,8 +905,7 @@ def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseEle
 
 # the most choices of one diagram per factor that _loop_sum walks.  Each
 # choice costs about 6 microseconds; the scan it replaces costs about as
-# much as 64-100 choices at N = 2 (where the flip matrix lifts to 4 diagrams,
-# 4096 choices for the six-factor flip word) and ten times more from N = 3 on
+# much as 64-100 choices at N = 2 and ten times more from N = 3 on
 MAX_DIAGRAM_CHOICES = 256
 
 
@@ -775,6 +936,12 @@ def _diagram_terms(a: BMatrix) -> tuple | None:
     for kap, x in orbits.items():
         for pi, mu in _coarsenings(kap):
             coeffs[pi] = coeffs.get(pi, _ZERO) + x * mu
+    return _leg_offsets(coeffs)
+
+
+def _leg_offsets(coeffs: dict) -> tuple:
+    """Diagram coefficients as the lift that _loop_sum reads: the nonzero
+    (blocks as leg offsets 0..5, d) pairs."""
     return tuple(
         (tuple(tuple(leg - 1 for leg in block) for block in pi.blocks), d)
         for pi, d in coeffs.items()

@@ -281,9 +281,15 @@ class TestLimitFormulas:
 
 class TestCounterexample:
     def test_classical_value_is_one(self):
-        for n in (3, 4):
+        for n in range(3, 13):
             alg = MatrixUnitAlgebra(n)
             assert counterexample(n, "classical") == alg.one()
+
+    def test_quantum_value_is_exact(self):
+        for n in range(2, 13):
+            alg = MatrixUnitAlgebra(n)
+            expected = alg.one() * Fraction(3 * n * n - 4, n**4 - 2 * n * n)
+            assert counterexample(n, "quantum") == expected
 
     def test_quantum_value_decays(self):
         prev = None
