@@ -47,7 +47,6 @@ from .partitions import (
 )
 from .weingarten import (
     FLAVORS,
-    SIZE_CAPS,
     EntryWord,
     build_table,
     table_to_csv,
@@ -99,7 +98,7 @@ def _cmd_partitions(args):
     if args.eps is not None:
         eps = _parse_eps(args.eps)
         flavor = _require_flavor(args.flavor)
-        kind = "nc2_eps" if flavor == "quantum" else "p2_eps"
+        kind = FLAVORS[flavor].pairings
         if args.m is not None and 2 * args.m != len(eps):
             raise UsageError("--m: inconsistent with --eps; pairings need len(eps) = 2m")
         params = {"flavor": flavor, "eps": str(eps)}
@@ -148,7 +147,7 @@ def _cmd_moment(args):
     elif args.m is not None:
         if args.m < 1:
             raise UsageError("--m: must be positive")
-        cap = SIZE_CAPS[flavor]
+        cap = FLAVORS[flavor].cap
         if 2 * args.m > cap:
             raise UsageError(
                 f"--m: {flavor} tables support at most {cap} letters (m <= {cap // 2}), "
@@ -223,18 +222,21 @@ def _cmd_freeness(args):
 def _cmd_counterexample(args):
     flavor = _require_flavor(args.flavor)
     rng = _n_range(args, 4, 8)
-    if min(rng) < 3:
-        raise UsageError("--n-min: the length-6 classical table needs N >= 3")
     _require_at_most_max_n(rng)
+    crossing = crossing_pairing_present(flavor)
     rows = []
     ok = True
     for n in rng:
-        value = counterexample(n, flavor)
+        try:
+            value = counterexample(n, flavor)
+        except ZeroDivisionError as exc:
+            raise UsageError(f"--n-min: {exc}") from exc
         alg = MatrixUnitAlgebra(n)
         norm = alg.norm_float(value)
         dist = alg.norm_float(value - alg.one())
         bound = 2.0 / n
-        row_ok = (dist <= bound) if flavor == "classical" else (norm <= bound)
+        # the crossing pairing keeps the word at one(); without it the word decays
+        row_ok = (dist <= bound) if crossing else (norm <= bound)
         ok = ok and row_ok
         rows.append(
             {"n": n, "norm": norm, "distance_from_one": dist, "within_bound": row_ok}
@@ -243,7 +245,7 @@ def _cmd_counterexample(args):
         "word": "(U A U* B)^3 over commuting matrix-unit systems",
         "rows": rows,
         "crossing_pairing": str(CROSSING_PAIRING),
-        "crossing_in_family": crossing_pairing_present(flavor),
+        "crossing_in_family": crossing,
     }
     params = {"flavor": flavor, "n_min": min(rng), "n_max": max(rng)}
     verdicts = {"within_bound": ok}
@@ -340,7 +342,7 @@ def _selftest_checks():
             word = MixedWord.rotated(flavor, [a], [b])
             if lhs_exact(word, 2) != want:
                 return False
-            if flavor == "quantum" and limit_formula(word) != want:
+            if FLAVORS[flavor].free and limit_formula(word) != want:
                 return False
         return True
 

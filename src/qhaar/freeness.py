@@ -65,7 +65,7 @@ from .partitions import (
     leq,
     mobius,
 )
-from .weingarten import FLAVORS, MULTI_LABEL_CAP, SIZE_CAPS, build_table
+from .weingarten import FLAVORS, MULTI_LABEL_CAP, build_table, flavor_of
 # bench/tracing.py counts and probes these two under qhaar.freeness
 from .weingarten import _WEIGHT_CACHE, _pair_weights
 
@@ -136,8 +136,7 @@ class MixedWord:
     lead: BMatrix | None = None
 
     def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"flavor must be one of {FLAVORS}")
+        flavor_of(self.flavor)
         object.__setattr__(self, "letters", tuple(self.letters))
         if not self.letters and self.lead is None:
             raise ValueError("a word needs at least one letter or a lead matrix")
@@ -196,7 +195,7 @@ class MixedWord:
         return out
 
     def as_quantum(self) -> "MixedWord":
-        if self.flavor == "quantum":
+        if FLAVORS[self.flavor].free:
             return self
         return MixedWord("quantum", self.letters, self.lead)
 
@@ -284,7 +283,7 @@ def lhs_exact(word: MixedWord, n: int):
 
 
 def _require_limit_word(word: MixedWord) -> None:
-    if word.flavor != "quantum":
+    if not FLAVORS[word.flavor].free:
         raise ValueError("the limit formula applies to the quantum flavor")
     if word.lead is not None:
         raise ValueError("the limit formula applies to words without a lead matrix")
@@ -483,41 +482,6 @@ def report_to_csv(report: ConvergenceReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the two-system counterexample
-
-
-CROSSING_PAIRING = Partition.from_text("{{1,4},{2,5},{3,6}}")
-
-
-def crossing_pairing_present(flavor: str) -> bool:
-    """Whether the crossing pairing enters the length-6 alternating family."""
-    return build_table(flavor, SignPattern.alternating(6)).contains(CROSSING_PAIRING)
-
-
-def counterexample_word(n: int, flavor: str) -> MixedWord:
-    """The word (U A U* B)^3 with A, B the two commuting matrix-unit flips.
-
-    A places the unit E_ji of the first system at entry (i, j) and B does the
-    same with the second system, so both are self-adjoint unitaries whose
-    expectation is one/N.
-    """
-    algebra = MatrixUnitAlgebra(n)
-    rng = range(1, n + 1)
-    a = BMatrix(algebra, [[algebra.unit(1, j, i) for j in rng] for i in rng])
-    b = BMatrix(algebra, [[algebra.unit(2, j, i) for j in rng] for i in rng])
-    return MixedWord.rotated(flavor, [a, a, a], [b, b, b])
-
-
-def counterexample(n: int, flavor: str):
-    """Exact value of the flip word at size n under the chosen flavor.
-
-    Classical values approach the identity while quantum values approach
-    zero, separating ordinary Haar matrices from their quantum analogue.
-    """
-    return lhs_exact(counterexample_word(n, flavor), n)
-
-
-# ---------------------------------------------------------------------------
 # scenarios
 
 
@@ -646,8 +610,7 @@ class Scenario:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"flavor must be one of {FLAVORS}")
+        flavor_of(self.flavor)
         if self.kind not in ("dense", "matrix_unit"):
             raise ValueError("algebra kind must be 'dense' or 'matrix_unit'")
         if self.kind == "dense" and (self.dim is None or self.dim < 1):
@@ -783,8 +746,10 @@ def load_scenario(source) -> Scenario:
 
     name = data.get("name", "scenario")
     flavor = data.get("flavor")
-    if flavor not in FLAVORS:
-        raise ValueError(f"scenario flavor must be one of {FLAVORS}")
+    try:
+        record = flavor_of(flavor)
+    except ValueError as exc:
+        raise ValueError(f"scenario {exc}") from None
     alg = data.get("algebra")
     if not isinstance(alg, dict) or alg.get("kind") not in ("dense", "matrix_unit"):
         raise ValueError("scenario algebra must declare kind 'dense' or 'matrix_unit'")
@@ -821,11 +786,11 @@ def load_scenario(source) -> Scenario:
             parse_expression(factor, families)
         word.append((label, sign, factor))
     labels = {label for label, _, _ in word}
-    if flavor == "classical" and len(labels) > 1:
-        raise ValueError("word: classical scenarios use one unitary label")
-    if len(word) > SIZE_CAPS[flavor]:
+    if len(labels) > 1 and not record.free:
+        raise ValueError(f"word: {flavor} scenarios use one unitary label")
+    if len(word) > record.cap:
         raise ValueError(
-            f"word: {flavor} words have at most {SIZE_CAPS[flavor]} letters, got {len(word)}"
+            f"word: {flavor} words have at most {record.cap} letters, got {len(word)}"
         )
     if len(labels) > 1 and len(word) > MULTI_LABEL_CAP:
         raise ValueError(
@@ -922,6 +887,43 @@ def _finite_dim_spec(d: int, n_range=None, seed: int = 7) -> Scenario:
         word=word,
         n_range=ns,
     )
+
+
+# ---------------------------------------------------------------------------
+# the two-system counterexample
+
+
+CROSSING_PAIRING = Partition.from_text("{{1,4},{2,5},{3,6}}")
+
+
+def crossing_pairing_present(flavor: str) -> bool:
+    """Whether the crossing pairing enters the length-6 alternating family."""
+    return build_table(flavor, SignPattern.alternating(6)).contains(CROSSING_PAIRING)
+
+
+# the families A and B of the shipped flip scenarios
+_FLIPS = tuple(FamilySpec("matrix_unit_pattern", f"E({s}, j, i)") for s in (1, 2))
+
+
+def counterexample_word(n: int, flavor: str) -> MixedWord:
+    """The word (U A U* B)^3 with A, B the two commuting matrix-unit flips.
+
+    A places the unit E_ji of the first system at entry (i, j) and B does the
+    same with the second system, so both are self-adjoint unitaries whose
+    expectation is one/N.  Both are partition-algebra diagrams at every N.
+    """
+    algebra = MatrixUnitAlgebra(n)
+    a, b = (flip.matrix(algebra, n) for flip in _FLIPS)
+    return MixedWord.rotated(flavor, [a, a, a], [b, b, b])
+
+
+def counterexample(n: int, flavor: str):
+    """Exact value of the flip word at size n under the chosen flavor.
+
+    Classical values approach the identity while quantum values approach
+    zero, separating ordinary Haar matrices from their quantum analogue.
+    """
+    return lhs_exact(counterexample_word(n, flavor), n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .freeness import MixedWord
 from .opvalued import _check_args, expectation
 from .partitions import Partition, SignPattern, enumerate_family, kernel, leq, mobius
 from .weingarten import (
+    FLAVORS,
     EntryWord,
     WeingartenTable,
     _as_pattern,
@@ -180,7 +181,7 @@ def brute_force_moment(word: MixedWord, n: int):
     eps = SignPattern(signs)
     if len(set(labels)) == 1:
         entry_moment = partial(haar_moment, build_table(word.flavor, eps))
-    elif word.flavor != "quantum":
+    elif not FLAVORS[word.flavor].free:
         raise NotImplementedError("multi-label words need the quantum flavor")
     else:
         entry_moment = partial(free_product_moment, eps, labels)

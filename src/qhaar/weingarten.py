@@ -36,7 +36,9 @@ from .partitions import (
 )
 
 __all__ = [
+    "Flavor",
     "FLAVORS",
+    "flavor_of",
     "Letter",
     "EntryWord",
     "WeingartenTable",
@@ -49,11 +51,40 @@ __all__ = [
     "table_to_csv",
 ]
 
-FLAVORS = ("quantum", "classical")
-SIZE_CAPS = {"quantum": 8, "classical": 6}
 MULTI_LABEL_CAP = 6
 _SIGNS = ("1", "*")
 _KINDS = ("u", "adjoint")
+
+
+@dataclass(frozen=True)
+class Flavor:
+    """A Haar family, fixed by its category of partitions (Banica-Speicher,
+    "Liberation of orthogonal Lie groups", 2009).
+
+    pairings: the enumerate_family kind of a sign pattern's pairing family.
+    cap: the most letters a Weingarten table is built for.
+    free: whether copies with different labels form a free product; words
+    mixing labels and the free limit formula rest on it.
+    """
+
+    pairings: str
+    cap: int
+    free: bool
+
+
+# flavor names stay the public spelling in APIs, JSON and error lines
+FLAVORS = {
+    "quantum": Flavor("nc2_eps", 8, True),
+    "classical": Flavor("p2_eps", 6, False),
+}
+
+
+def flavor_of(name) -> Flavor:
+    """The record of a flavor name; a ValueError names the choices."""
+    record = FLAVORS.get(name) if isinstance(name, str) else None
+    if record is None:
+        raise ValueError(f"flavor must be one of {tuple(FLAVORS)}")
+    return record
 
 
 def _as_pattern(eps) -> SignPattern:
@@ -183,18 +214,15 @@ def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     Results are cached by (flavor, pattern) and inverses by Gram matrix;
     cached tables are immutable.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"flavor must be one of {FLAVORS}")
+    record = flavor_of(flavor)
     eps = _as_pattern(eps)
-    cap = SIZE_CAPS[flavor]
-    if len(eps) > cap:
-        raise ValueError(f"{flavor} tables support at most {cap} letters, got {len(eps)}")
+    if len(eps) > record.cap:
+        raise ValueError(f"{flavor} tables support at most {record.cap} letters, got {len(eps)}")
     key = (flavor, str(eps))
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    kind = "nc2_eps" if flavor == "quantum" else "p2_eps"
-    family = enumerate_family(kind, len(eps), eps).members
+    family = enumerate_family(record.pairings, len(eps), eps).members
     rows = []
     for p in family:
         row = tuple(
@@ -260,7 +288,7 @@ def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dic
         table = build_table(flavor, eps)
         weights = {(p, q): table.wg_entry(p, q) for p in table.family for q in table.family}
     else:
-        if flavor != "quantum":
+        if not flavor_of(flavor).free:
             raise NotImplementedError(
                 "multi-label words are only supported for the quantum flavor"
             )
@@ -269,7 +297,7 @@ def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dic
             raise ValueError(
                 f"multi-label words support at most {MULTI_LABEL_CAP} letters, got {k}"
             )
-        table = build_table("quantum", eps)
+        table = build_table(flavor, eps)
         c_omega = _cumulant_coefficients(ker_l)
         weights = {}
         for p in table.family:
@@ -282,7 +310,7 @@ def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dic
                     term = RationalFunction.from_int(cw)
                     for block in omega.blocks:
                         sub_eps = SignPattern(tuple(eps.signs[v - 1] for v in block))
-                        sub = build_table("quantum", sub_eps)
+                        sub = build_table(flavor, sub_eps)
                         term = term * sub.wg_entry(restrict(p, block), restrict(q, block))
                         if not term:
                             break
@@ -300,7 +328,7 @@ def word_moment(word: EntryWord, flavor: str = "quantum") -> RationalFunction:
     Adjoint-matrix entries are first rewritten as generator powers; the value
     is the sum of the pair weights over pairings (p, q) with p refining the
     kernel of the row indices and q that of the column indices.  Words mixing
-    several labels are evaluated in the free product (quantum only).
+    several labels are evaluated in the free product (free flavors only).
     """
     if len(word) % 2 == 1:
         return RationalFunction.zero()

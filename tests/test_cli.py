@@ -5,6 +5,7 @@ captured stdout/stderr, so the full parse-dispatch-emit path is covered.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -96,6 +97,25 @@ def exact_digest(code: int, payload: dict) -> str:
     return hashlib.sha256(json.dumps(exact, sort_keys=True).encode()).hexdigest()
 
 
+# digest of every run in pinned_flavor_runs: the weingarten and partitions
+# output over every sign pattern up to each flavor's table cap, the moments
+# of the alternating words, and three flavor-dependent error lines
+PINNED_FLAVOR_RUNS = "7e569f17776045f748bdbc6579dc075e56e1a7bcfd515d9f58d84328fa78d3f5"
+
+
+def pinned_flavor_runs():
+    for flavor, cap in (("quantum", 8), ("classical", 6)):
+        for k in range(1, cap + 1):
+            for signs in itertools.product("1*", repeat=k):
+                for command in ("weingarten", "partitions"):
+                    yield [command, "--flavor", flavor, "--eps", "".join(signs)]
+        for m in range(1, cap // 2 + 1):
+            yield ["moment", "--flavor", flavor, "--m", str(m)]
+    yield ["weingarten", "--flavor", "orthogonal", "--eps", "1*"]
+    yield ["moment", "--flavor", "classical", "--m", "4"]
+    yield ["freeness", "--scenario", "classical-two-labels.json"]
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -138,6 +158,18 @@ class TestEnvelope:
         assert main(argv + ["--out", str(first)]) == 0
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+    def test_flavor_output_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # argv, exit code, stdout and stderr of each run, hashed in order
+        monkeypatch.chdir(tmp_path)
+        scenario = {**BASE_SCENARIO, "flavor": "classical", "word": letters([1, 2])}
+        Path("classical-two-labels.json").write_text(json.dumps(scenario))
+        digest = hashlib.sha256()
+        for argv in pinned_flavor_runs():
+            code, out, err = run(capsys, argv)
+            digest.update(json.dumps([argv, code, out, err]).encode())
+        assert digest.hexdigest() == PINNED_FLAVOR_RUNS
 
 
 class TestPartitions:
@@ -482,7 +514,18 @@ class TestCounterexample:
             ["counterexample", "--flavor", "classical", "--n-min", "2", "--n-max", "4"],
         )
         assert code == 2
-        assert "--n-min" in err
+        assert out == ""
+        assert err == "error: --n-min: denominator vanishes at n = 2\n"
+
+    def test_quantum_runs_at_two(self, capsys):
+        # the quantum value at N = 2 is (3N^2 - 4)/(N^4 - 2N^2) one() = one()
+        code, payload = run_json(
+            capsys,
+            ["counterexample", "--flavor", "quantum", "--n-min", "2", "--n-max", "3"],
+        )
+        assert code == 0
+        first = payload["results"]["rows"][0]
+        assert (first["n"], first["norm"], first["distance_from_one"]) == (2, 1.0, 0.0)
 
     def test_cap_rejected(self, capsys):
         code, out, err = run(capsys, ["counterexample", "--n-max", "40"])

@@ -1,6 +1,8 @@
 """Every name a qhaar module exports in __all__ must exist, so star imports work,
-and no production module may pull in the cross-check oracles."""
+no production module may pull in the cross-check oracles, and only weingarten
+tells the flavors apart by name."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -38,3 +40,23 @@ def test_production_modules_do_not_import_oracles():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def test_only_weingarten_compares_flavor_names():
+    # every other module reads the Flavor record in weingarten.FLAVORS
+    def operands(node):
+        for x in [node.left, *node.comparators]:
+            yield from x.elts if isinstance(x, (ast.Tuple, ast.List, ast.Set)) else [x]
+
+    found = []
+    for path in sorted(Path(qhaar.__file__).parent.glob("*.py")):
+        if path.name == "weingarten.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                found.extend(
+                    f"{path.name}:{node.lineno}"
+                    for x in operands(node)
+                    if isinstance(x, ast.Constant) and x.value in ("quantum", "classical")
+                )
+    assert found == []

@@ -91,12 +91,12 @@ def both_algebras():
     return [DenseAlgebra(2), MatrixUnitAlgebra(2)]
 
 
-def flip_matrix(alg: MatrixUnitAlgebra) -> BMatrix:
-    """The matrix over B with (i, j) entry E_ji of the first system."""
+def flip_matrix(alg: MatrixUnitAlgebra, system: int = 1) -> BMatrix:
+    """The matrix over B with (i, j) entry E_ji of the given system."""
     n = alg.n
     return BMatrix(
         alg,
-        [[alg.unit(1, j, i) for j in range(1, n + 1)] for i in range(1, n + 1)],
+        [[alg.unit(system, j, i) for j in range(1, n + 1)] for i in range(1, n + 1)],
     )
 
 
@@ -685,7 +685,11 @@ class TestLoopSum:
         # a factor enters one sum per pairing pair and one per sigma of the
         # limit formula, and its lift is computed once all the same
         if case == "matrix-units":
-            lifter, word = "_orbit_coefficients", counterexample_word(4, "quantum")
+            # the flip word built entry by entry, so that each factor is lifted
+            # from its entries
+            alg = MatrixUnitAlgebra(4)
+            a, b = flip_matrix(alg, 1), flip_matrix(alg, 2)
+            lifter, word = "_orbit_coefficients", MixedWord.rotated("quantum", [a] * 3, [b] * 3)
         else:
             lifter = "_integer_tensor"
             word = load_scenario(SCENARIO_DIR / "dense_circulant.json").word_at(3)
