@@ -23,7 +23,6 @@ from .freeness import (
     counterexample,
     cumulant_limit,
     infinitesimal_check,
-    laurent_moments,
     lhs_exact,
     limit_formula,
     load_scenario,
@@ -47,7 +46,6 @@ __all__ = [
     "counterexample",
     "cumulant_limit",
     "infinitesimal_check",
-    "laurent_moments",
     "lhs_exact",
     "limit_formula",
     "load_scenario",

@@ -28,12 +28,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .exactalg import (
-    GaussianRational,
-    RationalFunction,
-    interpolate_rational,
-    laurent_at_infinity,
-)
+from .exactalg import GaussianRational, RationalFunction, laurent_at_infinity
 from .opvalued import (
     BMatrix,
     CoefficientAlgebra,
@@ -43,6 +38,8 @@ from .opvalued import (
     MatrixUnitAlgebra,
     MatrixUnitElement,
     _diagram_terms,
+    _leg_offsets,
+    _loop_sum,
     constrained_sum,
     expectation,
     evaluate_expression,
@@ -73,6 +70,7 @@ __all__ = [
     "UnitaryLetter",
     "MixedWord",
     "lhs_exact",
+    "lhs_function",
     "limit_formula",
     "cumulant_limit",
     "rotated_limit",
@@ -92,7 +90,6 @@ __all__ = [
     "load_scenario",
     "ConstantPattern",
     "MomentPattern",
-    "laurent_moments",
     "WordToken",
     "InfinitesimalPair",
     "infinitesimal_check",
@@ -511,8 +508,8 @@ class FamilySpec:
         ):
             return None
         return {
-            Partition(6, tuple(tuple(leg + 1 for leg in b) for b in blocks)): d
-            for blocks, d in _diagram_terms(self._entries(MatrixUnitAlgebra(6), 6))
+            (Partition(6, tuple(tuple(leg + 1 for leg in b) for b in blocks)), power): d
+            for (blocks, power), d in _diagram_terms(self._entries(MatrixUnitAlgebra(6), 6))
         }
 
     def matrix(self, algebra: CoefficientAlgebra, n: int) -> BMatrix:
@@ -606,7 +603,6 @@ class Scenario:
     families: dict
     word: tuple
     n_range: tuple[int, ...]
-    degrees: tuple[int, int] = (8, 8)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -808,18 +804,6 @@ def load_scenario(source) -> Scenario:
     if rng[1] > MAX_N:
         raise ValueError(f"n_range: sizes are capped at {MAX_N}, got {rng[1]}")
     n_range = tuple(range(rng[0], rng[1] + 1))
-    degrees = (8, 8)
-    if "degrees" in data:
-        deg = data["degrees"]
-        if (
-            not isinstance(deg, dict)
-            or not isinstance(deg.get("num"), int)
-            or not isinstance(deg.get("den"), int)
-            or deg["num"] < 0
-            or deg["den"] < 0
-        ):
-            raise ValueError("degrees must be an object with integer num and den")
-        degrees = (deg["num"], deg["den"])
     return Scenario(
         name=str(name),
         flavor=flavor,
@@ -828,7 +812,6 @@ def load_scenario(source) -> Scenario:
         families=families,
         word=tuple(word),
         n_range=n_range,
-        degrees=degrees,
     )
 
 
@@ -991,7 +974,7 @@ def _series_abs(f: RationalFunction, shift: int) -> Fraction:
 
 @dataclass
 class MomentPattern:
-    """Entrywise rational functions of N interpolated from exact samples."""
+    """Exact rational functions of N, a (re, im) pair per coordinate."""
 
     kind: str
     dim: int | None
@@ -1016,39 +999,39 @@ class MomentPattern:
         return ConstantPattern(self.kind, self.dim, out)
 
 
-def laurent_moments(word_at, samples, kind: str, dim: int | None = None,
-                    degrees: tuple[int, int] = (8, 8)) -> MomentPattern:
-    """Interpolate the exact values of a word family as rational functions.
+def lhs_function(word: MixedWord) -> MomentPattern:
+    """lhs_exact of a word of DiagramMatrix factors, as functions of N.
 
-    word_at maps a size to a MixedWord; every coordinate of the value under
-    its algebra's components is fitted through the samples with the supplied
-    degree bounds and re-verified, so an under-bounded scenario fails loudly
-    instead of returning a wrong expansion.
+    The factors' diagrams do not depend on N, so the value has one exact
+    rational function per kernel class: (1/N) sum_pq w_pq(N) loops_pq(N),
+    with the pair weights w_pq and the loop polynomial of each pair's slot
+    partition (_loop_sum).  A word without unitary letters is the
+    expectation of its lead: the slot partition {{1,2}} with weight 1.
+
+    >>> f = lhs_function(counterexample_word(4, "quantum"))
+    >>> sorted((str(kap), str(re), str(im)) for kap, (re, im) in f.entries.items())
+    [('{{1,2,3,4}}', '(3n^2 - 4)/(n^4 - 2n^2)', '0'), ('{{1,2},{3,4}}', '(3n^2 - 4)/(n^4 - 2n^2)', '0')]
     """
-    ns = sorted({int(n) for n in samples})
-    num, den = degrees
-    if len(ns) < num + den + 2:
-        raise ValueError(
-            f"need at least {num + den + 2} samples for degrees ({num},{den})"
-        )
-    per_key: dict = {}
-    for n in ns:
-        word = word_at(n)
-        for key, v in word.algebra.components(lhs_exact(word, n)).items():
-            per_key.setdefault(key, {})[n] = v
-    entries = {}
-    zero = GaussianRational.zero()
-    for key in sorted(per_key, key=str):
-        by_n = per_key[key]
-        re = interpolate_rational(
-            [(n, by_n.get(n, zero).re) for n in ns], num, den
-        )
-        im = interpolate_rational(
-            [(n, by_n.get(n, zero).im) for n in ns], num, den
-        )
-        if re or im:
-            entries[key] = (re, im)
-    return MomentPattern(kind, dim, entries)
+    factors = word.all_factors()
+    if not all(isinstance(f, DiagramMatrix) for f in factors):
+        raise TypeError("lhs_function needs DiagramMatrix factors")
+    if word.letters:
+        weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
+        terms = [(_slot_partition(word, p, q), w) for (p, q), w in weights.items() if w]
+    else:
+        terms = [(Partition(2, ((1, 2),)), RationalFunction.one())]
+    lifts = [_leg_offsets(f.terms) for f in factors]
+    zero = RationalFunction.zero()
+    entries: dict = {}
+    for constraint, w in terms:
+        loops, denominator = _loop_sum(constraint, lifts)
+        for (kap, power), (re, im) in loops.items():
+            x = w * RationalFunction.monomial(power - 1) / denominator
+            acc_re, acc_im = entries.get(kap, (zero, zero))
+            entries[kap] = (acc_re + x * re, acc_im + x * im)
+    return MomentPattern(
+        "matrix_unit", None, {kap: v for kap, v in entries.items() if v[0] or v[1]}
+    )
 
 
 class WordToken(NamedTuple):
@@ -1084,26 +1067,33 @@ def _scalar_matrix(algebra: CoefficientAlgebra, n: int, element) -> BMatrix:
     return BMatrix(algebra, [[element if a == b else zero for b in range(n)] for a in range(n)])
 
 
+# words are realized at this size; their diagrams are the same at every N
+_PAIR_N = 4
+
+
 @dataclass
 class InfinitesimalPair:
-    """Exact evaluators (E, E') for words over one scenario.
+    """Exact evaluators (E, E') for words over one scenario of diagram families.
 
-    E is the value of the moment at infinity and E' the coefficient of 1/N,
-    both read off the interpolated Laurent family over the sample sizes.
+    Each word is realized once as partition-algebra diagrams, and
+    lhs_function gives its value as one exact rational function of N per
+    kernel class.  E is that function's value at infinity and E' its
+    coefficient of 1/N.  Every family of the scenario must have diagrams
+    (FamilySpec.diagrams).
     """
 
     scenario: Scenario
-    samples: tuple[int, ...]
     _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "InfinitesimalPair":
-        # matrix-unit coordinates exist from N = 4 on
-        num, den = scenario.degrees
-        return cls(scenario, tuple(range(4, 4 + num + den + 4)))
+        for name, spec in scenario.families.items():
+            if spec.diagrams is None:
+                raise ValueError(f"family {name}: infinitesimal pairs need diagram families")
+        return cls(scenario)
 
     def one_pattern(self) -> ConstantPattern:
-        algebra = self.scenario.algebra(self.samples[0])
+        algebra = self.scenario.algebra(_PAIR_N)
         return ConstantPattern(
             self.scenario.kind, self.scenario.dim, algebra.components(algebra.one())
         )
@@ -1160,25 +1150,19 @@ class InfinitesimalPair:
         return MixedWord(self.scenario.flavor, tuple(letters), lead)
 
     def moments(self, tokens) -> MomentPattern:
+        """The word's value as exact rational functions of N."""
         tokens = tuple(tokens)
         cached = self._cache.get(tokens)
         if cached is None:
-            cached = laurent_moments(
-                lambda n: self.realize(tokens, n),
-                self.samples,
-                self.scenario.kind,
-                self.scenario.dim,
-                self.scenario.degrees,
-            )
-            self._cache[tokens] = cached
+            cached = self._cache[tokens] = lhs_function(self.realize(tokens, _PAIR_N))
         return cached
 
     def e_value(self, tokens) -> ConstantPattern:
-        """E of the word: the constant term of its Laurent family."""
+        """E of the word: the constant term of its Laurent expansion."""
         return self.moments(tokens).series_constant(0)
 
     def e_prime(self, tokens) -> ConstantPattern:
-        """E' of the word: the coefficient of 1/N of its Laurent family."""
+        """E' of the word: the coefficient of 1/N of its Laurent expansion."""
         return self.moments(tokens).series_constant(1)
 
 

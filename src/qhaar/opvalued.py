@@ -476,7 +476,17 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
     def fast_sum(self, constraint: Partition, lifts: list) -> MatrixUnitElement | None:
         if math.prod(map(len, lifts)) > MAX_DIAGRAM_CHOICES:
             return None
-        return _loop_sum(constraint, lifts, self)
+        terms, denominator = _loop_sum(constraint, lifts)
+        n = self.n
+        classes: dict[Partition, list] = {}
+        for (kap, power), (re, im) in terms.items():
+            acc = classes.setdefault(kap, [0, 0])
+            acc[0] += re * n**power
+            acc[1] += im * n**power
+        return self.from_components({
+            kap: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+            for kap, (re, im) in classes.items()
+        })
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MatrixUnitAlgebra) and other.n == self.n
@@ -635,17 +645,19 @@ class DiagramMatrix(BMatrix):
     """An S_N-invariant matrix over MatrixUnitAlgebra(N) as an element of the
     partition algebra P_3(N).
 
-    terms maps partitions of the six legs (r, c, a, b, a', b') to nonzero
-    coefficients: entry (r, c) is the sum of x E_ab(1) E_a'b'(2) over the
-    index values, where x sums the coefficients of the diagrams whose blocks
-    the legs' values are constant on.  The map from diagrams to matrices is
-    an algebra homomorphism at every N (Halverson-Ram, "Partition algebras",
-    2005), so +, scalar multiples and @ (diagram composition, one factor N
-    per closed component) are exact at every N, also below N = 6 where two
-    combinations of diagrams can give one matrix.  lift() reads the terms;
-    rows, the entries, are built on first use, for the transfer scan, norms
-    and comparisons.  An operand that is a plain BMatrix takes the BMatrix
-    operation on the entries.
+    terms maps (diagram, power) pairs, a diagram being a partition of the
+    six legs (r, c, a, b, a', b'), to nonzero coefficients: entry (r, c) is
+    the sum of x E_ab(1) E_a'b'(2) over the index values, where x sums
+    coefficient * N**power over the diagrams whose blocks the legs' values
+    are constant on.  The map from diagrams to matrices is an algebra
+    homomorphism at every N (Halverson-Ram, "Partition algebras", 2005), so
+    +, scalar multiples and @ (diagram composition, each closed component
+    adding one to the power) are exact at every N, also below N = 6 where
+    two combinations of diagrams can give one matrix.  The terms do not
+    depend on N; rows (the entries, built on first use for the transfer
+    scan, norms and comparisons), expectation and lift() evaluate the powers
+    at the algebra's N.  An operand that is a plain BMatrix takes the
+    BMatrix operation on the entries.
     """
 
     __slots__ = ("terms", "_rows")
@@ -653,7 +665,7 @@ class DiagramMatrix(BMatrix):
     def __init__(self, algebra: MatrixUnitAlgebra, terms: dict):
         self.algebra = algebra
         self.size = algebra.n
-        self.terms = {pi: g for pi, v in terms.items() if (g := _as_gauss(v))}
+        self.terms = {key: g for key, v in terms.items() if (g := _as_gauss(v))}
         self._rows = None
         self._lift = _UNLIFTED
 
@@ -661,17 +673,17 @@ class DiagramMatrix(BMatrix):
     def identity(cls, algebra: MatrixUnitAlgebra, size: int) -> "DiagramMatrix":
         if size != algebra.n:
             raise ValueError("a diagram matrix has the size of its matrix units")
-        return cls(algebra, {_IDENTITY_DIAGRAM: _ONE})
+        return cls(algebra, {(_IDENTITY_DIAGRAM, 0): _ONE})
 
     @classmethod
     def scalar(cls, algebra: MatrixUnitAlgebra, comps: dict) -> "DiagramMatrix":
         """The identity times the element with these kernel-class coordinates,
         by Moebius inversion: the class of kap is the sum over pi >= kap of
         mu(kap, pi) delta_pi on (a, b, a', b'), and r = c."""
-        terms: dict[Partition, GaussianRational] = {}
+        terms: dict[tuple, GaussianRational] = {}
         for kap, x in comps.items():
             for pi, mu in _coarsenings(kap):
-                key = Partition(6, ((1, 2),) + tuple(tuple(p + 2 for p in b) for b in pi.blocks))
+                key = (Partition(6, ((1, 2),) + tuple(tuple(p + 2 for p in b) for b in pi.blocks)), 0)
                 terms[key] = terms.get(key, _ZERO) + _as_gauss(x) * mu
         return cls(algebra, terms)
 
@@ -680,7 +692,8 @@ class DiagramMatrix(BMatrix):
         if self._rows is None:
             n = self.size
             cells = [[{} for _ in range(n)] for _ in range(n)]
-            for pi, d in self.terms.items():
+            for (pi, power), d in self.terms.items():
+                d = d * n**power
                 for values in itertools.product(range(1, n + 1), repeat=len(pi.blocks)):
                     legs = [0] * 6
                     for block, v in zip(pi.blocks, values):
@@ -693,20 +706,26 @@ class DiagramMatrix(BMatrix):
         return self._rows
 
     def lift(self) -> tuple:
+        """The lift at the algebra's N: each diagram once, with its powers
+        of N evaluated."""
         if self._lift is _UNLIFTED:
-            self._lift = _leg_offsets(self.terms)
+            n = self.size
+            at_n: dict[tuple, GaussianRational] = {}
+            for (pi, power), d in self.terms.items():
+                at_n[pi, 0] = at_n.get((pi, 0), _ZERO) + d * n**power
+            self._lift = _leg_offsets(at_n)
         return self._lift
 
     def __matmul__(self, other: BMatrix) -> BMatrix:
         if not isinstance(other, DiagramMatrix):
             return super().__matmul__(other)
         self._check(other)
-        n = self.size
-        out: dict[Partition, GaussianRational] = {}
-        for p, x in self.terms.items():
-            for q, y in other.terms.items():
+        out: dict[tuple, GaussianRational] = {}
+        for (p, i), x in self.terms.items():
+            for (q, j), y in other.terms.items():
                 pi, closed = _compose(p, q)
-                out[pi] = out.get(pi, _ZERO) + x * y * n**closed
+                key = (pi, i + j + closed)
+                out[key] = out.get(key, _ZERO) + x * y
         return DiagramMatrix(self.algebra, out)
 
     def __add__(self, other: BMatrix) -> BMatrix:
@@ -717,16 +736,16 @@ class DiagramMatrix(BMatrix):
 
     def scale(self, c) -> "DiagramMatrix":
         c = _as_gauss(c)
-        return DiagramMatrix(self.algebra, {pi: v * c for pi, v in self.terms.items()})
+        return DiagramMatrix(self.algebra, {key: v * c for key, v in self.terms.items()})
 
     def expectation(self) -> MatrixUnitElement:
         """E_N as the partial trace over (r, c), divided by N: joining r to c
         closes a loop when the two legs form a block of their own."""
         n = self.size
         classes: dict[Partition, GaussianRational] = {}
-        for pi, d in self.terms.items():
+        for (pi, power), d in self.terms.items():
             pattern, closed = _glued(pi, 6, ((0, 1),), (2, 3, 4, 5))
-            v = d * Fraction(n**closed, n)
+            v = d * Fraction(n**(closed + power), n)
             for kap, _ in _coarsenings(pattern):
                 classes[kap] = classes.get(kap, _ZERO) + v
         return self.algebra.from_components(classes)
@@ -918,9 +937,8 @@ def _diagram_terms(a: BMatrix) -> tuple | None:
     equals sum_pi d_pi delta_pi, where delta_pi is 1 on the tuples constant
     on the blocks of pi and d_pi = sum_{k <= pi} mu(k, pi) x_k (Moebius
     inversion on the full partition lattice).  That holds at every N, since
-    a class with more blocks than N has no tuples.  Returns the nonzero
-    (blocks as leg offsets 0..5, d_pi) pairs, or None for a map that is not
-    invariant.
+    a class with more blocks than N has no tuples.  Returns the lift of
+    _leg_offsets, every power 0, or None for a map that is not invariant.
     """
     items = (
         ((r, c) + quad, v)
@@ -932,19 +950,20 @@ def _diagram_terms(a: BMatrix) -> tuple | None:
         orbits = _orbit_coefficients(items, a.size)
     except ValueError:
         return None
-    coeffs: dict[Partition, GaussianRational] = {}
+    coeffs: dict[tuple, GaussianRational] = {}
     for kap, x in orbits.items():
         for pi, mu in _coarsenings(kap):
-            coeffs[pi] = coeffs.get(pi, _ZERO) + x * mu
+            coeffs[pi, 0] = coeffs.get((pi, 0), _ZERO) + x * mu
     return _leg_offsets(coeffs)
 
 
 def _leg_offsets(coeffs: dict) -> tuple:
-    """Diagram coefficients as the lift that _loop_sum reads: the nonzero
-    (blocks as leg offsets 0..5, d) pairs."""
+    """Coefficients keyed by (diagram, power of N) as the lift that
+    _loop_sum reads: the nonzero ((blocks as leg offsets 0..5, power), d)
+    pairs."""
     return tuple(
-        (tuple(tuple(leg - 1 for leg in block) for block in pi.blocks), d)
-        for pi, d in coeffs.items()
+        ((tuple(tuple(leg - 1 for leg in block) for block in pi.blocks), power), d)
+        for (pi, power), d in coeffs.items()
         if d
     )
 
@@ -962,7 +981,7 @@ def _coarsenings(kap: Partition) -> tuple:
     return tuple(out)
 
 
-def _loop_sum(constraint: Partition, lifts, algebra: MatrixUnitAlgebra):
+def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int]:
     """The constrained sum of partition-algebra factors by loop counting.
 
     Factor k has the legs 6k..6k+5 = (r, c, a, b, a', b').  For each choice
@@ -970,13 +989,14 @@ def _loop_sum(constraint: Partition, lifts, algebra: MatrixUnitAlgebra):
     equal: the row and column slots of each constraint block, the chains
     b_k ~ a_{k+1} and b'_k ~ a'_{k+1} of the matrix-unit products, and the
     blocks of the chosen diagrams.  Each component that meets none of the
-    four output legs (a_1, b_m, a'_1, b'_m) is a closed loop and sums to a
-    factor N; how the output legs fall together is a delta pattern, and the
-    coefficient of a kernel class is the sum over the patterns below it.
-    Coefficients run as Gaussian integers over one common denominator.
+    four output legs (a_1, b_m, a'_1, b'_m) is a closed loop and adds one to
+    the power of N, as the chosen diagrams' powers do; how the output legs
+    fall together is a delta pattern, and the coefficient of a kernel class
+    is the sum over the patterns below it.  Returns each class's polynomial
+    in N, as Gaussian integers [re, im] keyed by (kernel class, power of N),
+    and their common denominator.
     """
     m = len(lifts)
-    n = algebra.n
     nlegs = 6 * m
     base = list(range(nlegs))
     merged = 0
@@ -995,17 +1015,17 @@ def _loop_sum(constraint: Partition, lifts, algebra: MatrixUnitAlgebra):
         pairs, scale = _gaussian_integers(d for _, d in lift)
         denominator *= scale
         choices.append([
-            ([(6 * k + b[0], 6 * k + leg) for b in blocks for leg in b[1:]], re, im)
-            for (blocks, _), (re, im) in zip(lift, pairs)
+            ([(6 * k + b[0], 6 * k + leg) for b in blocks for leg in b[1:]], power, re, im)
+            for ((blocks, power), _), (re, im) in zip(lift, pairs)
         ])
-    # (output pattern, closed loops) -> Gaussian integer [re, im]
+    # (output pattern, power of N) -> Gaussian integer [re, im]
     totals: dict[tuple, list] = {}
 
-    def visit(k: int, parent: list, merged: int, re: int, im: int) -> None:
+    def visit(k: int, parent: list, merged: int, power: int, re: int, im: int) -> None:
         if k == m:
             seen: dict = {}
             pattern = tuple(seen.setdefault(_find(parent, x), len(seen)) for x in outputs)
-            key = (pattern, nlegs - merged - len(seen))
+            key = (pattern, power + nlegs - merged - len(seen))
             acc = totals.get(key)
             if acc is None:
                 totals[key] = [re, im]
@@ -1013,26 +1033,22 @@ def _loop_sum(constraint: Partition, lifts, algebra: MatrixUnitAlgebra):
                 acc[0] += re
                 acc[1] += im
             return
-        for pairs, dre, dim in choices[k]:
+        for pairs, dpower, dre, dim in choices[k]:
             joined = parent[:]
             more = merged
             for x, y in pairs:
                 more += _union(joined, x, y)
-            visit(k + 1, joined, more, re * dre - im * dim, re * dim + im * dre)
+            visit(k + 1, joined, more, power + dpower, re * dre - im * dim, re * dim + im * dre)
 
-    visit(0, base, merged, 1, 0)
+    visit(0, base, merged, 0, 1, 0)
     # a pattern's tuples fill every kernel class coarser than it
-    classes: dict[Partition, list] = {}
-    for (pattern, closed), (re, im) in totals.items():
+    classes: dict[tuple, list] = {}
+    for (pattern, power), (re, im) in totals.items():
         for kap, _ in _coarsenings(kernel(pattern)):
-            acc = classes.setdefault(kap, [0, 0])
-            acc[0] += re * n**closed
-            acc[1] += im * n**closed
-    return algebra.from_components({
-        kap: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
-        for kap, (re, im) in classes.items()
-        if re or im
-    })
+            acc = classes.setdefault((kap, power), [0, 0])
+            acc[0] += re
+            acc[1] += im
+    return classes, denominator
 
 
 def _scan_sum(constraint: Partition, args):

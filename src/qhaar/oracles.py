@@ -2,11 +2,11 @@
 
 Each function computes a quantity that production code computes another way,
 and the test suite compares the two: haar_moment (one Weingarten table) and
-free_product_moment (noncrossing cumulants) against weingarten.word_moment
-(pair weights), brute_force_moment (every index tuple) against
-freeness.lhs_exact, nested_functional (block extraction) against
-opvalued.functional_e (a constrained sum), and mobius_recursive (the
-defining recursion) against partitions.mobius.
+free_product_moment (noncrossing cumulants) against weingarten.word_moment,
+brute_force_moment (every index tuple) against freeness.lhs_exact,
+laurent_moments (interpolation) against freeness.lhs_function,
+nested_functional (block extraction) against opvalued.functional_e, and
+mobius_recursive (the defining recursion) against partitions.mobius.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
-from .exactalg import RationalFunction
-from .freeness import MixedWord
+from .exactalg import GaussianRational, RationalFunction, interpolate_rational
+from .freeness import MixedWord, MomentPattern, lhs_exact
 from .opvalued import _check_args, expectation
 from .partitions import Partition, SignPattern, enumerate_family, kernel, leq, mobius
 from .weingarten import (
@@ -36,6 +36,7 @@ __all__ = [
     "entry_cumulant",
     "free_product_moment",
     "brute_force_moment",
+    "laurent_moments",
     "mobius_recursive",
 ]
 
@@ -219,3 +220,38 @@ def mobius_recursive(s: Partition, p: Partition) -> int:
         if t != p and leq(s, t) and leq(t, p):
             total += mobius_recursive(s, t)
     return -total
+
+
+def laurent_moments(word_at, samples, kind: str, dim: int | None = None,
+                    degrees: tuple[int, int] = (8, 8)) -> MomentPattern:
+    """Interpolate the exact values of a word family as rational functions.
+
+    word_at maps a size to a MixedWord; every coordinate of the value under
+    its algebra's components is fitted through the samples with the supplied
+    degree bounds and re-verified, so an under-bounded fit fails loudly
+    instead of returning a wrong expansion.
+    """
+    ns = sorted({int(n) for n in samples})
+    num, den = degrees
+    if len(ns) < num + den + 2:
+        raise ValueError(
+            f"need at least {num + den + 2} samples for degrees ({num},{den})"
+        )
+    per_key: dict = {}
+    for n in ns:
+        word = word_at(n)
+        for key, v in word.algebra.components(lhs_exact(word, n)).items():
+            per_key.setdefault(key, {})[n] = v
+    entries = {}
+    zero = GaussianRational.zero()
+    for key in sorted(per_key, key=str):
+        by_n = per_key[key]
+        re = interpolate_rational(
+            [(n, by_n.get(n, zero).re) for n in ns], num, den
+        )
+        im = interpolate_rational(
+            [(n, by_n.get(n, zero).im) for n in ns], num, den
+        )
+        if re or im:
+            entries[key] = (re, im)
+    return MomentPattern(kind, dim, entries)

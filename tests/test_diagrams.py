@@ -6,6 +6,7 @@ by == at every N, including N < 6, where one matrix has several diagram
 forms and the per-N lift picks one of them.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,11 +16,13 @@ import pytest
 
 from qhaar import freeness, opvalued
 from qhaar.freeness import (
+    ConstantPattern,
     FamilySpec,
     InfinitesimalPair,
     MixedWord,
     Scenario,
     UnitaryLetter,
+    WordToken,
     _scalar_matrix,
     infinitesimal_check,
     lhs_exact,
@@ -33,6 +36,7 @@ from qhaar.opvalued import (
     _diagram_terms,
     expectation,
 )
+from qhaar.oracles import laurent_moments
 from qhaar.partitions import Partition, enumerate_family
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -192,7 +196,7 @@ class PerNScenario(Scenario):
 def flip_pairs() -> tuple[InfinitesimalPair, InfinitesimalPair]:
     """The infinitesimal_flip pair on the diagram route and on the per-N route."""
     s = load_scenario(SCENARIO_DIR / "infinitesimal_flip.json")
-    old = PerNScenario(s.name, s.flavor, s.kind, s.dim, s.families, s.word, s.n_range, s.degrees)
+    old = PerNScenario(s.name, s.flavor, s.kind, s.dim, s.families, s.word, s.n_range)
     return InfinitesimalPair.from_scenario(s), InfinitesimalPair.from_scenario(old)
 
 
@@ -219,11 +223,75 @@ def test_criterion_8_words_equal_the_per_n_realization():
     token_lists = list(pair._cache)
     assert len(token_lists) > 28
     for tokens in token_lists:
-        for n in pair.samples:
+        for n in range(4, 16):
             new_word, old_word = pair.realize(tokens, n), old.realize(tokens, n)
             assert all(isinstance(f, DiagramMatrix) for f in new_word.all_factors())
             assert all(type(f) is BMatrix for f in old_word.all_factors())
             assert lhs_exact(new_word, n) == lhs_exact(old_word, n), (tokens, n)
+
+
+def test_criterion_8_functions_equal_the_interpolation():
+    # lhs_function against the rational fit of the per-N values, whole
+    # functions compared, on every token list of criterion 8's checks
+    pair = InfinitesimalPair.from_scenario(load_scenario(SCENARIO_DIR / "infinitesimal_flip.json"))
+    for letters in criterion_8_words():
+        assert infinitesimal_check(pair, letters)
+    token_lists = list(pair._cache)
+    assert len(token_lists) == 65
+    for tokens in token_lists:
+        fitted = laurent_moments(
+            lambda n: pair.realize(tokens, n), range(4, 16), "matrix_unit", degrees=(4, 4)
+        )
+        assert pair.moments(tokens) == fitted, tokens
+
+
+def rand_pattern(rng: random.Random) -> ConstantPattern:
+    classes = rng.sample(enumerate_family("all", 4).members, 2)
+    return ConstantPattern(
+        "matrix_unit", None, {kap: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for kap in classes}
+    )
+
+
+def rand_tokens(rng: random.Random) -> list:
+    """Two to five tokens: alternately rotated and plain letters of the
+    families A, B and C, some centered, and now and then a const token."""
+    tokens = []
+    for t in range(rng.randint(2, 5)):
+        if rng.random() < 0.15:
+            tokens.append(WordToken.const(rand_pattern(rng)))
+            continue
+        center = rand_pattern(rng) if rng.random() < 0.3 else None
+        kind = "rotated" if t % 2 == 0 else "plain"
+        tokens.append(WordToken(kind, symbol=rng.choice("ABC"), center=center))
+    return tokens
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_lhs_function_equals_lhs_exact_on_random_words(flavor):
+    rng = random.Random(1000 if flavor == "quantum" else 1001)
+    data = {
+        "name": "random",
+        "flavor": flavor,
+        "algebra": {"kind": "matrix_unit"},
+        "families": {s: {"constructor": "matrix_unit_pattern", "entry": rand_entry(rng)} for s in "ABC"},
+        "word": [{"label": 1, "sign": "1", "factor": "A"}, {"label": 1, "sign": "*", "factor": "B"}],
+        "n_range": [2, 8],
+    }
+    pair = InfinitesimalPair.from_scenario(load_scenario(data))
+    # classical weights of six letters have a pole at N = 2
+    sizes = range(2 if flavor == "quantum" else 3, 9)
+    checked = 0
+    while checked < 20:
+        tokens = rand_tokens(rng)
+        word = pair.realize(tokens, sizes[-1])
+        # keep words whose per-N sums take loop counting; the scan at N = 8
+        # would take minutes
+        if math.prod(len(f.lift()) for f in word.all_factors()) > opvalued.MAX_DIAGRAM_CHOICES:
+            continue
+        f = pair.moments(tokens)
+        for n in sizes:
+            assert f.value_at(n, MatrixUnitAlgebra(n)) == lhs_exact(pair.realize(tokens, n), n), (tokens, n)
+        checked += 1
 
 
 def test_infinitesimal_check_composes_diagrams(monkeypatch):
@@ -253,10 +321,11 @@ def test_infinitesimal_check_composes_diagrams(monkeypatch):
     monkeypatch.setattr(freeness, "_diagram_terms", lift)
 
     scenario = load_scenario(SCENARIO_DIR / "infinitesimal_flip.json")
-    pair = InfinitesimalPair.from_scenario(scenario)
     assert calls["lift"] == 0
-    # each family is lifted once, at N = 6, on first use; building that one
-    # matrix entry by entry is the only per-N work a family needs
+    # each family is lifted once, at N = 6, on first use (from_scenario checks
+    # that it lifts); building that one matrix entry by entry is the only
+    # per-N work a family needs
+    pair = InfinitesimalPair.from_scenario(scenario)
     assert all(spec.diagrams is not None for spec in scenario.families.values())
     assert calls["lift"] == len(scenario.families)
     monkeypatch.setattr(

@@ -1,11 +1,12 @@
 """Every name a qhaar module exports in __all__ must exist, so star imports work,
-no production module may pull in the cross-check oracles, and only weingarten
-tells the flavors apart by name."""
+no production module may pull in the cross-check oracles or interpolate, and
+only weingarten tells the flavors apart by name."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,22 @@ def test_production_modules_do_not_import_oracles():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def test_production_modules_do_not_interpolate():
+    # E and E' are read off exact functions of N; interpolation through
+    # sampled sizes is left to the oracles
+    found = []
+    for path in sorted(Path(qhaar.__file__).parent.glob("*.py")):
+        if path.name in ("exactalg.py", "oracles.py"):
+            continue
+        text = path.read_text()
+        found.extend(
+            f"{path.name}: {name}"
+            for name in ("interpolate_rational", "laurent_moments")
+            if re.search(rf"\b{name}\b", text)
+        )
+    assert found == []
 
 
 def test_only_weingarten_compares_flavor_names():

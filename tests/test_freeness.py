@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from qhaar.exactalg import GaussianRational, InconsistentSamplesError
+from qhaar.exactalg import GaussianRational, InconsistentSamplesError, RationalFunction
 from qhaar.freeness import (
     ConstantPattern,
     CROSSING_PAIRING,
     FamilySpec,
     InfinitesimalPair,
+    MAX_N,
     MixedWord,
     Scenario,
     UnitaryLetter,
@@ -24,8 +25,8 @@ from qhaar.freeness import (
     element_payload,
     finite_dim_scenario,
     infinitesimal_check,
-    laurent_moments,
     lhs_exact,
+    lhs_function,
     limit_formula,
     load_scenario,
     report_to_csv,
@@ -41,7 +42,7 @@ from qhaar.opvalued import (
     expectation,
     parse_expression,
 )
-from qhaar.oracles import brute_force_moment
+from qhaar.oracles import brute_force_moment, laurent_moments
 from qhaar.partitions import Partition
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -576,7 +577,6 @@ class TestLaurentMoments:
             families=families,
             word=((1, "1", "P"), (1, "*", "Q")),
             n_range=tuple(range(2, 5)),
-            degrees=(4, 4),
         )
         samples = range(2, 13)
         mp = laurent_moments(small.word_at, samples, "dense", 2, degrees=(4, 4))
@@ -587,7 +587,7 @@ class TestLaurentMoments:
         pair = flip_infinitesimal_pair()
         tokens = [WordToken.rotated("A"), WordToken.plain("B")]
         mp = pair.moments(tokens)
-        for n in pair.samples[:2] + pair.samples[-1:]:
+        for n in (4, 5, 15):
             w = pair.realize(tokens, n)
             assert mp.value_at(n, w.algebra) == lhs_exact(w, n)
 
@@ -613,29 +613,85 @@ class TestLaurentMoments:
             alg.components(x)
 
     def test_divergent_moment_rejected(self):
+        # A is the all-ones matrix times one(), so E_N(A A) = N one()
         data = {
             "name": "grow",
             "flavor": "quantum",
             "algebra": {"kind": "matrix_unit"},
-            "families": {
-                "A": {
-                    "constructor": "matrix_unit_pattern",
-                    "entry": "N * N * E(1, j, i)",
-                }
-            },
+            "families": {"A": {"constructor": "matrix_unit_pattern", "entry": "1"}},
             "word": [
                 {"label": 1, "sign": "1", "factor": "A"},
                 {"label": 1, "sign": "*", "factor": "A"},
             ],
             "n_range": [4, 15],
-            "degrees": {"num": 4, "den": 4},
         }
         pair = InfinitesimalPair.from_scenario(load_scenario(data))
-        with pytest.raises(ValueError):
-            pair.e_value([WordToken.plain("A")])
+        tokens = [WordToken.plain("A"), WordToken.plain("A")]
+        n, zero = RationalFunction.variable(), RationalFunction.zero()
+        assert pair.moments(tokens).entries == {kap: (n, zero) for kap in pair.one_pattern().entries}
+        with pytest.raises(ValueError, match="moment grows with N"):
+            pair.e_value(tokens)
+
+
+class TestLhsFunction:
+    @pytest.mark.parametrize("flavor", ["quantum", "classical"])
+    def test_counterexample_function(self, flavor):
+        f = lhs_function(counterexample_word(4, flavor))
+        if flavor == "quantum":
+            expected = RationalFunction.from_text("(3n^2 - 4)/(n^4 - 2n^2)")
+        else:
+            expected = RationalFunction.one()
+        zero = RationalFunction.zero()
+        assert f.entries == {
+            Partition.from_text("{{1,2},{3,4}}"): (expected, zero),
+            Partition.from_text("{{1,2,3,4}}"): (expected, zero),
+        }
+        # classical weights of six letters have a pole at N = 2
+        for n in range(2 if flavor == "quantum" else 3, 13):
+            assert f.value_at(n, MatrixUnitAlgebra(n)) == counterexample(n, flavor)
+
+    def test_factors_must_be_diagrams(self):
+        alg = MatrixUnitAlgebra(4)
+        word = MixedWord("quantum", (), BMatrix.identity(alg, 4))
+        with pytest.raises(TypeError):
+            lhs_function(word)
 
 
 class TestInfinitesimal:
+    @pytest.mark.parametrize("degrees", [{"num": 8, "den": 8}, {"num": 1000000, "den": 0}])
+    def test_degrees_key_is_ignored(self, monkeypatch, degrees):
+        data = json.loads((SCENARIO_DIR / "infinitesimal_flip.json").read_text())
+        tokens = [[WordToken.plain("A")], [WordToken.rotated("B")],
+                  [WordToken.rotated("A"), WordToken.plain("B")]]
+        plain = InfinitesimalPair.from_scenario(load_scenario(data))
+        expected = [(plain.e_value(t), plain.e_prime(t)) for t in tokens]
+        realize = InfinitesimalPair.realize
+
+        def bounded_realize(self, tokens, n):
+            if n > MAX_N:
+                raise AssertionError(f"realized at N = {n}, above MAX_N")
+            return realize(self, tokens, n)
+
+        monkeypatch.setattr(InfinitesimalPair, "realize", bounded_realize)
+        pair = InfinitesimalPair.from_scenario(load_scenario({**data, "degrees": degrees}))
+        assert [(pair.e_value(t), pair.e_prime(t)) for t in tokens] == expected
+        assert infinitesimal_check(pair, [("rotated", "A"), ("plain", "B")])
+
+    @pytest.mark.parametrize("source", [
+        SCENARIO_DIR / "dense_circulant.json",
+        {
+            "name": "grow",
+            "flavor": "quantum",
+            "algebra": {"kind": "matrix_unit"},
+            "families": {"A": {"constructor": "matrix_unit_pattern", "entry": "N * N * E(1, j, i)"}},
+            "word": [{"label": 1, "sign": "1", "factor": "A"}, {"label": 1, "sign": "*", "factor": "A"}],
+            "n_range": [4, 15],
+        },
+    ], ids=["dense", "entry-with-N"])
+    def test_families_without_diagrams_rejected(self, source):
+        with pytest.raises(ValueError, match="^family A: "):
+            InfinitesimalPair.from_scenario(load_scenario(source))
+
     def test_flip_expectations(self):
         pair = flip_infinitesimal_pair()
         assert pair.e_value([WordToken.plain("A")]).is_zero()

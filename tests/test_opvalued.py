@@ -669,15 +669,16 @@ class TestLoopSum:
                 expected[pi] = expected.get(pi, GaussianRational.zero()) + d
             lifted = {
                 Partition(6, tuple(tuple(leg + 1 for leg in b) for b in blocks)): d
-                for blocks, d in opvalued._diagram_terms(invariant_bmatrix(alg, diagrams))
+                for (blocks, _), d in opvalued._diagram_terms(invariant_bmatrix(alg, diagrams))
             }
             assert lifted == {pi: d for pi, d in expected.items() if d}
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_flip_matrix_is_one_diagram(self, n):
         # entry (i, j) is E_ji(1): row ~ b, column ~ a, and a' ~ b'
-        (blocks, d), = opvalued._diagram_terms(flip_matrix(MatrixUnitAlgebra(n)))
+        ((blocks, power), d), = opvalued._diagram_terms(flip_matrix(MatrixUnitAlgebra(n)))
         assert sorted(blocks) == [(0, 3), (1, 2), (4, 5)]
+        assert power == 0
         assert d == GaussianRational.one()
 
     @pytest.mark.parametrize("case", ["matrix-units", "dense"])
