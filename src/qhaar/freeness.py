@@ -38,12 +38,11 @@ from .opvalued import (
     MatrixUnitAlgebra,
     MatrixUnitElement,
     _diagram_terms,
-    _leg_offsets,
-    _loop_sum,
     constrained_sum,
     expectation,
     evaluate_expression,
     functional_e,
+    loop_polynomials,
     parse_expression,
     parse_scalar,
 )
@@ -247,14 +246,16 @@ def _slot_partition(word: MixedWord, p: Partition, q: Partition) -> Partition:
     return Partition(nslots, tuple(tuple(g) for g in groups.values()))
 
 
-def lhs_exact(word: MixedWord, n: int):
+def lhs_exact(word: MixedWord, n: int | None = None):
     """Exact value of (Haar state tensor tr_N tensor id)[word] at size N.
 
     Sums Weingarten weights against transfer sums whose index equalities are
     dictated by each pairing pair; the 1/N prefactor is the normalized trace.
     A word with no unitary letters reduces to the plain expectation of its
-    lead matrix.
+    lead matrix.  Without n: lhs_function(word), the value at every N.
     """
+    if n is None:
+        return lhs_function(word)
     if n < 2:
         raise ValueError("evaluation requires N >= 2")
     if word.size != n:
@@ -932,28 +933,26 @@ class ConstantPattern:
         if self.kind != other.kind or self.dim != other.dim:
             raise ValueError("patterns live over different algebras")
 
+    def _plus(self, entries: dict, sign: int = 1) -> "ConstantPattern":
+        out = dict(self.entries)
+        for k, v in entries.items():
+            out[k] = out.get(k, GaussianRational.zero()) + v * sign
+        return ConstantPattern(self.kind, self.dim, out)
+
     def __add__(self, other: "ConstantPattern") -> "ConstantPattern":
         self._match(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, GaussianRational.zero()) + v
-        return ConstantPattern(self.kind, self.dim, out)
+        return self._plus(other.entries)
 
     def __sub__(self, other: "ConstantPattern") -> "ConstantPattern":
         self._match(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, GaussianRational.zero()) - v
-        return ConstantPattern(self.kind, self.dim, out)
+        return self._plus(other.entries, -1)
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def shifted(self, key, delta) -> "ConstantPattern":
         """Copy with delta added to one coordinate; negative-control helper."""
-        out = dict(self.entries)
-        out[key] = out.get(key, GaussianRational.zero()) + delta
-        return ConstantPattern(self.kind, self.dim, out)
+        return self._plus({key: delta})
 
     def value_element(self, algebra: CoefficientAlgebra):
         """Realize the pattern inside a concrete algebra instance."""
@@ -982,21 +981,17 @@ class MomentPattern:
 
     def value_at(self, n: int, algebra: CoefficientAlgebra):
         """Evaluate every entry at size n and assemble the element of algebra."""
-        comps = {}
-        for key, (re, im) in self.entries.items():
-            g = GaussianRational(re.evaluate(n), im.evaluate(n))
-            if g:
-                comps[key] = g
-        return algebra.from_components(comps)
+        return algebra.from_components({
+            key: GaussianRational(re.evaluate(n), im.evaluate(n))
+            for key, (re, im) in self.entries.items()
+        })
 
     def series_constant(self, shift: int) -> ConstantPattern:
         """Laurent coefficient of N^-shift of every entry, as a pattern."""
-        out = {}
-        for key, (re, im) in self.entries.items():
-            g = GaussianRational(_series_abs(re, shift), _series_abs(im, shift))
-            if g:
-                out[key] = g
-        return ConstantPattern(self.kind, self.dim, out)
+        return ConstantPattern(self.kind, self.dim, {
+            key: GaussianRational(_series_abs(re, shift), _series_abs(im, shift))
+            for key, (re, im) in self.entries.items()
+        })
 
 
 def lhs_function(word: MixedWord) -> MomentPattern:
@@ -1004,34 +999,26 @@ def lhs_function(word: MixedWord) -> MomentPattern:
 
     The factors' diagrams do not depend on N, so the value has one exact
     rational function per kernel class: (1/N) sum_pq w_pq(N) loops_pq(N),
-    with the pair weights w_pq and the loop polynomial of each pair's slot
-    partition (_loop_sum).  A word without unitary letters is the
-    expectation of its lead: the slot partition {{1,2}} with weight 1.
+    with the pair weights w_pq and the loop polynomials of each pair's slot
+    partition (opvalued.loop_polynomials).  A word without unitary letters
+    is the expectation of its lead: the slot partition {{1,2}}, weight 1.
 
     >>> f = lhs_function(counterexample_word(4, "quantum"))
     >>> sorted((str(kap), str(re), str(im)) for kap, (re, im) in f.entries.items())
     [('{{1,2,3,4}}', '(3n^2 - 4)/(n^4 - 2n^2)', '0'), ('{{1,2},{3,4}}', '(3n^2 - 4)/(n^4 - 2n^2)', '0')]
     """
-    factors = word.all_factors()
-    if not all(isinstance(f, DiagramMatrix) for f in factors):
-        raise TypeError("lhs_function needs DiagramMatrix factors")
     if word.letters:
         weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
         terms = [(_slot_partition(word, p, q), w) for (p, q), w in weights.items() if w]
     else:
         terms = [(Partition(2, ((1, 2),)), RationalFunction.one())]
-    lifts = [_leg_offsets(f.terms) for f in factors]
-    zero = RationalFunction.zero()
     entries: dict = {}
     for constraint, w in terms:
-        loops, denominator = _loop_sum(constraint, lifts)
-        for (kap, power), (re, im) in loops.items():
-            x = w * RationalFunction.monomial(power - 1) / denominator
-            acc_re, acc_im = entries.get(kap, (zero, zero))
-            entries[kap] = (acc_re + x * re, acc_im + x * im)
-    return MomentPattern(
-        "matrix_unit", None, {kap: v for kap, v in entries.items() if v[0] or v[1]}
-    )
+        w = w * RationalFunction.monomial(-1)
+        for kap, (re, im) in loop_polynomials(constraint, word.all_factors()).items():
+            acc = entries.get(kap, (RationalFunction.zero(),) * 2)
+            entries[kap] = (acc[0] + w * re, acc[1] + w * im)
+    return MomentPattern("matrix_unit", None, {k: v for k, v in entries.items() if v[0] or v[1]})
 
 
 class WordToken(NamedTuple):
@@ -1076,10 +1063,10 @@ class InfinitesimalPair:
     """Exact evaluators (E, E') for words over one scenario of diagram families.
 
     Each word is realized once as partition-algebra diagrams, and
-    lhs_function gives its value as one exact rational function of N per
-    kernel class.  E is that function's value at infinity and E' its
-    coefficient of 1/N.  Every family of the scenario must have diagrams
-    (FamilySpec.diagrams).
+    lhs_exact without a size (lhs_function) gives its value as one exact
+    rational function of N per kernel class.  E is that function's value at
+    infinity and E' its coefficient of 1/N.  Every family of the scenario
+    must have diagrams (FamilySpec.diagrams).
     """
 
     scenario: Scenario
@@ -1154,7 +1141,7 @@ class InfinitesimalPair:
         tokens = tuple(tokens)
         cached = self._cache.get(tokens)
         if cached is None:
-            cached = self._cache[tokens] = lhs_function(self.realize(tokens, _PAIR_N))
+            cached = self._cache[tokens] = lhs_exact(self.realize(tokens, _PAIR_N))
         return cached
 
     def e_value(self, tokens) -> ConstantPattern:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactalg import GaussianRational
+from .exactalg import GaussianRational, RationalFunction
 from .partitions import Partition, enumerate_family, fatten, kernel, leq, mobius, mobius_full
 from .partitions import _find, _union
 
@@ -56,6 +56,7 @@ __all__ = [
     "functional_e",
     "cumulant_k",
     "constrained_sum",
+    "loop_polynomials",
     "norm_check",
     "parse_expression",
     "evaluate_expression",
@@ -846,6 +847,20 @@ def constrained_sum(constraint: Partition, args):
         if value is not None:
             return value
     return _scan_sum(constraint, args)
+
+
+def loop_polynomials(constraint: Partition, factors) -> dict:
+    """constrained_sum of DiagramMatrix factors at every N, per kernel class
+    as a (re, im) pair of RationalFunctions: _loop_sum's polynomials in N."""
+    if not all(isinstance(f, DiagramMatrix) for f in factors):
+        raise TypeError("loop_polynomials needs DiagramMatrix factors")
+    terms, denominator = _loop_sum(constraint, [_leg_offsets(f.terms) for f in factors])
+    out: dict = {}
+    for (kap, power), (re, im) in terms.items():
+        x = RationalFunction.monomial(power) / denominator
+        acc = out.get(kap, (RationalFunction.zero(),) * 2)
+        out[kap] = (acc[0] + x * re, acc[1] + x * im)
+    return out
 
 
 # einsum names its axes by single ASCII letters

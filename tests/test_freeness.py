@@ -650,6 +650,19 @@ class TestLhsFunction:
         for n in range(2 if flavor == "quantum" else 3, 13):
             assert f.value_at(n, MatrixUnitAlgebra(n)) == counterexample(n, flavor)
 
+    def test_lhs_exact_without_a_size_is_the_function(self, monkeypatch):
+        import qhaar.freeness as freeness
+
+        word = counterexample_word(4, "quantum")
+        assert lhs_exact(word) == lhs_function(word)
+        # E and E' are read through the same entry point as per-N values
+        calls = []
+        monkeypatch.setattr(freeness, "lhs_exact",
+                            lambda w, n=None: calls.append(n) or lhs_exact(w, n))
+        pair = InfinitesimalPair.from_scenario(load_scenario(SCENARIO_DIR / "infinitesimal_flip.json"))
+        pair.e_prime([WordToken.rotated("A"), WordToken.plain("B")])
+        assert calls == [None]
+
     def test_factors_must_be_diagrams(self):
         alg = MatrixUnitAlgebra(4)
         word = MixedWord("quantum", (), BMatrix.identity(alg, 4))

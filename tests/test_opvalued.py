@@ -26,6 +26,7 @@ from qhaar.opvalued import (
     MAX_EXPONENT,
     BMatrix,
     DenseAlgebra,
+    DiagramMatrix,
     MatrixUnitAlgebra,
     MatrixUnitElement,
     constrained_sum,
@@ -33,6 +34,7 @@ from qhaar.opvalued import (
     evaluate_expression,
     expectation,
     functional_e,
+    loop_polynomials,
     norm_check,
     parse_expression,
     parse_scalar,
@@ -672,6 +674,33 @@ class TestLoopSum:
                 for (blocks, _), d in opvalued._diagram_terms(invariant_bmatrix(alg, diagrams))
             }
             assert lifted == {pi: d for pi, d in expected.items() if d}
+
+    def test_loop_polynomials_equal_the_scan_at_each_n(self):
+        # diagram coefficients carry powers of N, which the polynomials keep
+        rng = random.Random(215)
+        shapes = [p for p in enumerate_family("all", 6) if len(p.blocks) <= 3]
+        terms = [
+            {(rng.choice(shapes), rng.randint(0, 2)): rand_gauss(rng) for _ in range(2)}
+            for _ in range(2)
+        ]
+        for m in (1, 2):
+            for constraint in enumerate_family("all", 2 * m):
+                polys = loop_polynomials(
+                    constraint, [DiagramMatrix(MatrixUnitAlgebra(4), t) for t in terms[:m]]
+                )
+                for n in (1, 2, 3, 4):
+                    alg = MatrixUnitAlgebra(n)
+                    value = alg.from_components({
+                        kap: GaussianRational(re.evaluate(n), im.evaluate(n))
+                        for kap, (re, im) in polys.items()
+                    })
+                    args = [DiagramMatrix(alg, t) for t in terms[:m]]
+                    assert value == _scan_sum(constraint, args)
+
+    def test_loop_polynomials_need_diagrams(self):
+        alg = MatrixUnitAlgebra(3)
+        with pytest.raises(TypeError):
+            loop_polynomials(Partition(2, ((1, 2),)), [flip_matrix(alg)])
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_flip_matrix_is_one_diagram(self, n):
