@@ -142,7 +142,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # equal to a Fraction or int when real, so it must hash like one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -322,10 +323,15 @@ class RationalFunction:
             object.__setattr__(self, "num", ())
             object.__setattr__(self, "den", (1,))
             return
-        g = _pgcd(num, den)
-        if _pdeg(g) > 0 or g != (1,):
-            num = _pexact_div(num, g)
-            den = _pexact_div(den, g)
+        # a common power of n cancels by a shift; once either side is a
+        # constant, the polynomial gcd is 1 and the PRS can be skipped
+        shift = min(next(k for k, c in enumerate(a) if c) for a in (num, den))
+        num, den = num[shift:], den[shift:]
+        if len(num) > 1 and len(den) > 1:
+            g = _pgcd(num, den)
+            if g != (1,):
+                num = _pexact_div(num, g)
+                den = _pexact_div(den, g)
         cn, cd = _pcontent(num), _pcontent(den)
         c = math.gcd(cn, cd)
         sign = 1 if den[-1] > 0 else -1
@@ -405,13 +411,20 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(_pneg(self.num), self.den)
+        # negating the numerator keeps the canonical form
+        out = object.__new__(RationalFunction)
+        object.__setattr__(out, "num", _pneg(self.num))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return RationalFunction(
+            _padd(_pmul(self.num, o.den), _pneg(_pmul(o.num, self.den))),
+            _pmul(self.den, o.den),
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -463,6 +476,9 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
+        # equal to a Fraction or int when constant, so it must hash like one
+        if len(self.den) == 1 and len(self.num) <= 1:
+            return hash(Fraction(self.num[0], self.den[0])) if self.num else 0
         return hash((self.num, self.den))
 
     def evaluate(self, x) -> Fraction:
@@ -552,14 +568,14 @@ class FieldMatrix:
                 raise SingularMatrixError(col)
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
             pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
+            aug[col] = [x / pv if x else x for x in aug[col]]
             for r in range(n):
                 if r == col:
                     continue
                 factor = aug[r][col]
                 if not bool(factor):
                     continue
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+                aug[r] = [a - factor * b if b else a for a, b in zip(aug[r], aug[col])]
         inv = tuple(tuple(row[n:]) for row in aug)
         return FieldMatrix(inv)
 

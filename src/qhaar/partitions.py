@@ -306,6 +306,11 @@ def fatten(p: Partition) -> Partition:
     >>> str(fatten(Partition.from_text("{{1,4,5},{2,3},{6}}")))
     '{{1,10},{2,7},{3,6},{4,5},{8,9},{11,12}}'
     """
+    return _fatten(p)
+
+
+@lru_cache(maxsize=None)
+def _fatten(p: Partition) -> Partition:
     if not p.is_noncrossing():
         raise ValueError("fatten requires a noncrossing partition")
     return fatten_extended(p)
@@ -451,10 +456,30 @@ def _eps_pair_ok(eps: SignPattern, pair: tuple[int, int]) -> bool:
     return eps.signs[a - 1] != eps.signs[b - 1]
 
 
-def _eps_block_alternating(eps: SignPattern, block: tuple[int, ...]) -> bool:
-    if len(block) % 2 != 0:
-        return False
-    return all(eps.signs[a - 1] != eps.signs[b - 1] for a, b in zip(block, block[1:]))
+def _nch(eps: SignPattern) -> tuple[Partition, ...]:
+    """The scan of _nc_partitions, pruned to sign-alternating blocks of even length."""
+    k = len(eps)
+    if k > MAX_NC_GROUND:
+        raise ValueError(f"noncrossing enumeration capped at {MAX_NC_GROUND} points, got {k}")
+    signs = (None,) + eps.signs
+    out: list[Partition] = []
+
+    def rec(pos: int, stack: list[list[int]], closed: list[list[int]]) -> None:
+        if pos > k:
+            if all(len(b) % 2 == 0 for b in stack):
+                out.append(Partition(k, tuple(tuple(b) for b in closed + stack)))
+            return
+        for depth in range(len(stack)):
+            finished = stack[depth + 1 :]
+            if signs[stack[depth][-1]] == signs[pos] or any(len(b) % 2 for b in finished):
+                continue
+            kept = stack[: depth + 1]
+            kept[depth] = kept[depth] + [pos]
+            rec(pos + 1, kept, closed + finished)
+        rec(pos + 1, stack + [[pos]], closed)
+
+    rec(1, [], [])
+    return tuple(sorted(out, key=lambda p: p.blocks))
 
 
 FAMILY_KINDS = ("all", "nc", "nc2", "nc2_eps", "nc_eps", "nch_eps", "p2_eps")
@@ -490,43 +515,32 @@ def enumerate_family(kind: str, k: int, eps: SignPattern | None = None) -> Parti
         raise ValueError(f"family kind {kind!r} requires a sign pattern")
     if not needs_eps and eps is not None:
         raise ValueError(f"family kind {kind!r} takes no sign pattern")
+    if needs_eps:
+        expected, rule = (2 * k, "2k") if kind == "nc_eps" else (k, "k")
+        if len(eps) != expected:
+            raise ValueError(f"{kind} needs len(eps) == {rule}, got {len(eps)} != {expected}")
+    return PartitionFamily(kind, k, eps, _family_members(kind, k, eps))
+
+
+@lru_cache(maxsize=None)
+def _family_members(kind: str, k: int, eps: SignPattern | None) -> tuple[Partition, ...]:
     if kind == "all":
-        members = _all_partitions(k)
-    elif kind == "nc":
-        members = _nc_partitions(k)
-    elif kind == "nc2":
-        members = tuple(p for p in _pairings(k) if p.is_noncrossing())
-    elif kind == "nc2_eps":
-        if len(eps) != k:
-            raise ValueError(f"nc2_eps needs len(eps) == k, got {len(eps)} != {k}")
-        members = tuple(
-            p
-            for p in _pairings(k)
-            if p.is_noncrossing() and all(_eps_pair_ok(eps, b) for b in p.blocks)
-        )
-    elif kind == "p2_eps":
-        if len(eps) != k:
-            raise ValueError(f"p2_eps needs len(eps) == k, got {len(eps)} != {k}")
-        members = tuple(
-            p for p in _pairings(k) if all(_eps_pair_ok(eps, b) for b in p.blocks)
-        )
-    elif kind == "nch_eps":
-        if len(eps) != k:
-            raise ValueError(f"nch_eps needs len(eps) == k, got {len(eps)} != {k}")
-        members = tuple(
-            p
-            for p in _nc_partitions(k)
-            if all(_eps_block_alternating(eps, b) for b in p.blocks)
-        )
-    else:  # nc_eps
-        if len(eps) != 2 * k:
-            raise ValueError(f"nc_eps needs len(eps) == 2k, got {len(eps)} != {2 * k}")
-        members = tuple(
-            p
-            for p in _nc_partitions(k)
-            if all(_eps_pair_ok(eps, b) for b in fatten(p).blocks)
-        )
-    return PartitionFamily(kind, k, eps, members)
+        return _all_partitions(k)
+    if kind == "nc":
+        return _nc_partitions(k)
+    if kind == "nc2":
+        return tuple(p for p in _pairings(k) if p.is_noncrossing())
+    if kind == "nc2_eps":
+        nc2 = _family_members("nc2", k, None)
+        return tuple(p for p in nc2 if all(_eps_pair_ok(eps, b) for b in p.blocks))
+    if kind == "p2_eps":
+        return tuple(p for p in _pairings(k) if all(_eps_pair_ok(eps, b) for b in p.blocks))
+    if kind == "nch_eps":
+        return _nch(eps)
+    # nc_eps
+    return tuple(
+        p for p in _nc_partitions(k) if all(_eps_pair_ok(eps, b) for b in fatten(p).blocks)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +551,7 @@ def _signed_catalan(block_size: int) -> int:
     return (-1) ** (block_size - 1) * catalan(block_size - 1)
 
 
+@lru_cache(maxsize=None)
 def _mobius_to_one(tau: Partition) -> int:
     """mu(tau, 1_k) on NC(k), via the Kreweras complement product formula."""
     return math.prod(_signed_catalan(len(b)) for b in kreweras(tau).blocks)

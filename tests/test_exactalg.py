@@ -1,5 +1,6 @@
 """Tests for exact scalars, matrices, Laurent expansions and interpolation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,11 @@ from qhaar.exactalg import (
     RationalFunction,
     SingularMatrixError,
     interpolate_rational,
+    _pcontent,
     _pexact_div,
+    _pgcd,
+    _pmul,
+    _pneg,
     laurent_at_infinity,
 )
 
@@ -51,6 +56,16 @@ class TestGaussianRational:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             GaussianRational.one() / GaussianRational.zero()
+
+    def test_real_values_hash_like_their_rationals(self):
+        # equal values must hash equally, or set and dict lookups miss them
+        assert GaussianRational(1) == 1
+        assert 1 in {GaussianRational(1)}
+        assert GaussianRational(1) in {1}
+        assert {Fraction(1, 3): "x"}[GaussianRational(Fraction(1, 3))] == "x"
+        assert hash(GaussianRational.zero()) == hash(0)
+        a = GaussianRational(Fraction(1, 2), Fraction(-3))
+        assert hash(a) == hash(GaussianRational(Fraction(2, 4), Fraction(-6, 2)))
 
     def test_str(self):
         assert str(GaussianRational(Fraction(1), Fraction(-1))) == "1-i"
@@ -132,11 +147,71 @@ class TestRationalFunction:
         assert RF.from_fraction(Fraction(1, 2)) == Fraction(1, 2)
         assert N_VAR != 1
 
+    def test_constants_hash_like_their_rationals(self):
+        assert RF.from_int(5) == 5
+        assert 5 in {RF.from_int(5)}
+        assert RF.from_int(5) in {5}
+        assert Fraction(-2, 3) in {RF.from_fraction(Fraction(-2, 3))}
+        assert {Fraction(1, 2): "x"}[RF((3,), (6,))] == "x"
+        assert hash(RF.zero()) == hash(0)
+        assert hash(N_VAR / 2) == hash(RF((0, 3), (6,)))
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RF((1,), (0,))
         with pytest.raises(ZeroDivisionError):
             N_VAR / RF.zero()
+
+
+def _random_poly(rng, max_degree=3):
+    """A nonzero integer polynomial; its leading coefficient may be negative."""
+    head = [rng.randint(-4, 4) for _ in range(rng.randint(0, max_degree))]
+    return tuple(head) + (rng.choice((-3, -2, -1, 1, 2, 3)),)
+
+
+def _random_factor(rng):
+    """A constant, a monomial c*n^k, or a polynomial times a power of n."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return (rng.choice((-6, -2, -1, 2, 3, 4)),)
+    if kind == 1:
+        return (0,) * rng.randint(1, 3) + (rng.choice((-2, -1, 1, 3)),)
+    return (0,) * rng.randint(0, 2) + _random_poly(rng)
+
+
+def assert_canonical(f):
+    """The invariants of RationalFunction's docstring."""
+    if not f.num:
+        assert f.den == (1,)
+        return
+    assert _pgcd(f.num, f.den) == (1,)
+    assert math.gcd(_pcontent(f.num), _pcontent(f.den)) == 1
+    assert f.den[-1] > 0
+
+
+def test_canonical_form_properties():
+    rng = random.Random(20241)
+    for _ in range(300):
+        a = (0,) * rng.randint(0, 2) + _random_poly(rng)
+        b = (0,) * rng.randint(0, 2) + _random_poly(rng)
+        c = _random_factor(rng)
+        f = RF(a, b)
+        assert_canonical(f)
+        reduced = RF(_pmul(a, c), _pmul(b, c))
+        assert_canonical(reduced)
+        assert (reduced.num, reduced.den) == (f.num, f.den)
+        g = RF(_random_factor(rng), _random_poly(rng))
+        neg = -f
+        assert_canonical(neg)
+        normalized = RF(_pneg(f.num), f.den)
+        assert (neg.num, neg.den) == (normalized.num, normalized.den)
+        assert neg + f == RF.zero()
+        diff = f - g
+        assert_canonical(diff)
+        via_add = f + RF(_pneg(g.num), g.den)
+        assert (diff.num, diff.den) == (via_add.num, via_add.den)
+        assert f - f == RF.zero()
+        assert_canonical(f - f)
 
 
 def one_over(f):

@@ -151,6 +151,36 @@ def test_nc_eps_matches_fattening_filter():
             assert list(fam.members) == expect
 
 
+def test_nch_eps_matches_the_nc_filter():
+    # the filter nch_eps was first defined by, kept as its oracle
+    def alternating(eps, block):
+        if len(block) % 2 != 0:
+            return False
+        return all(eps.signs[a - 1] != eps.signs[b - 1] for a, b in zip(block, block[1:]))
+
+    for k in (2, 4, 6, 8):
+        for eps in all_sign_patterns(k):
+            expect = tuple(
+                p
+                for p in enumerate_family("nc", k)
+                if all(alternating(eps, b) for b in p.blocks)
+            )
+            assert enumerate_family("nch_eps", k, eps).members == expect
+
+
+def test_families_are_memoized():
+    eps = SignPattern.from_text("1**1")
+    cases = [("nc", 5, None), ("all", 4, None), ("nc2", 6, None), ("nc2_eps", 4, eps),
+             ("p2_eps", 4, eps), ("nch_eps", 4, eps), ("nc_eps", 2, eps)]
+    for kind, k, pattern in cases:
+        first = enumerate_family(kind, k, pattern)
+        again = enumerate_family(kind, k, pattern)
+        assert again.members is first.members
+        assert (again.kind, again.ground_size, again.eps) == (kind, k, pattern)
+    p = P("{{1,4,5},{2,3},{6}}")
+    assert fatten(p) is fatten(p)
+
+
 def test_enumeration_caps():
     with pytest.raises(ValueError):
         enumerate_family("nc", 13)
@@ -158,6 +188,8 @@ def test_enumeration_caps():
         enumerate_family("all", 11)
     with pytest.raises(ValueError):
         enumerate_family("nc2", 14)
+    with pytest.raises(ValueError):
+        enumerate_family("nch_eps", 14, SignPattern.alternating(14))
 
 
 def test_family_argument_validation():
@@ -346,11 +378,13 @@ def test_mobius_signed_catalan_on_top_intervals():
 
 
 def test_mobius_matches_recursion():
+    # the second pass reads the values the first one cached
     for k in range(1, 6):
         fam = enumerate_family("nc", k).members
-        for s in fam:
-            for p in fam:
-                assert mobius(s, p) == mobius_recursive(s, p)
+        for _ in range(2):
+            for s in fam:
+                for p in fam:
+                    assert mobius(s, p) == mobius_recursive(s, p)
 
 
 def test_mobius_convolution_identity():

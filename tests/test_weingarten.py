@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qhaar import freeness, weingarten
-from qhaar.exactalg import RationalFunction, laurent_at_infinity
+from qhaar.exactalg import FieldMatrix, RationalFunction, laurent_at_infinity
 from qhaar.partitions import (
     Partition,
     SignPattern,
@@ -117,6 +117,25 @@ class TestBuildTable:
         # 1*1* has no crossing pairing, so both flavors have one family
         assert build_table("quantum", ALT4).wg is build_table("classical", ALT4).wg
         assert build_table("quantum", ALT6).wg is not build_table("classical", ALT6).wg
+
+    def test_every_table_takes_fifteen_inversions(self, monkeypatch):
+        # every quantum pattern up to 8 letters and classical one up to 6
+        # shares one of 15 Gram matrices; the cache key must find them
+        monkeypatch.setattr(weingarten, "_TABLE_CACHE", {})
+        monkeypatch.setattr(weingarten, "_INVERSE_CACHE", {})
+        calls = []
+        invert = FieldMatrix.invert
+
+        def counted(matrix):
+            calls.append(matrix)
+            return invert(matrix)
+
+        monkeypatch.setattr(FieldMatrix, "invert", counted)
+        for flavor, cap in (("quantum", 8), ("classical", 6)):
+            for length in range(2, cap + 1, 2):
+                for eps in all_sign_patterns(length):
+                    build_table(flavor, eps)
+        assert len(calls) == 15
 
     @pytest.mark.parametrize("flavor", ["quantum", "classical"])
     def test_shared_inverse_equals_a_fresh_inversion(self, flavor):
