@@ -37,9 +37,7 @@ from .opvalued import (
     DiagramMatrix,
     MatrixUnitAlgebra,
     MatrixUnitElement,
-    _diagram_terms,
     constrained_sum,
-    expectation,
     evaluate_expression,
     functional_e,
     loop_polynomials,
@@ -246,13 +244,23 @@ def _slot_partition(word: MixedWord, p: Partition, q: Partition) -> Partition:
     return Partition(nslots, tuple(tuple(g) for g in groups.values()))
 
 
+def _lhs_terms(word: MixedWord) -> list:
+    """The (slot partition, weight) pairs whose constrained sums, weighted
+    and divided by N, make up lhs_exact: one per pairing pair with a nonzero
+    Weingarten weight.  A word without unitary letters is the expectation of
+    its lead: the slot partition {{1,2}}, weight 1."""
+    if not word.letters:
+        return [(Partition(2, ((1, 2),)), RationalFunction.one())]
+    weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
+    return [(_slot_partition(word, p, q), w) for (p, q), w in weights.items() if w]
+
+
 def lhs_exact(word: MixedWord, n: int | None = None):
     """Exact value of (Haar state tensor tr_N tensor id)[word] at size N.
 
-    Sums Weingarten weights against transfer sums whose index equalities are
-    dictated by each pairing pair; the 1/N prefactor is the normalized trace.
-    A word with no unitary letters reduces to the plain expectation of its
-    lead matrix.  Without n: lhs_function(word), the value at every N.
+    Sums Weingarten weights against constrained sums whose index equalities
+    are dictated by each pairing pair (_lhs_terms); the 1/N prefactor is the
+    normalized trace.  Without n: lhs_function(word), the value at every N.
     """
     if n is None:
         return lhs_function(word)
@@ -260,16 +268,13 @@ def lhs_exact(word: MixedWord, n: int | None = None):
         raise ValueError("evaluation requires N >= 2")
     if word.size != n:
         raise ValueError(f"word is built at size {word.size}, not {n}")
-    if not word.letters:
-        return expectation(word.lead)
-    weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
     factors = word.all_factors()
     total = word.algebra.zero()
-    for (p, q), w in weights.items():
+    for constraint, w in _lhs_terms(word):
         wn = w.evaluate(n)
         if not wn:
             continue
-        block_sum = constrained_sum(_slot_partition(word, p, q), factors)
+        block_sum = constrained_sum(constraint, factors)
         if not block_sum:
             continue
         total = total + block_sum * wn
@@ -508,10 +513,7 @@ class FamilySpec:
             parse_expression(self.payload, ENTRY_NAMES)
         ):
             return None
-        return {
-            (Partition(6, tuple(tuple(leg + 1 for leg in b) for b in blocks)), power): d
-            for (blocks, power), d in _diagram_terms(self._entries(MatrixUnitAlgebra(6), 6))
-        }
+        return self._entries(MatrixUnitAlgebra(6), 6).lift()
 
     def matrix(self, algebra: CoefficientAlgebra, n: int) -> BMatrix:
         if self.diagrams is not None:
@@ -1000,20 +1002,14 @@ def lhs_function(word: MixedWord) -> MomentPattern:
     The factors' diagrams do not depend on N, so the value has one exact
     rational function per kernel class: (1/N) sum_pq w_pq(N) loops_pq(N),
     with the pair weights w_pq and the loop polynomials of each pair's slot
-    partition (opvalued.loop_polynomials).  A word without unitary letters
-    is the expectation of its lead: the slot partition {{1,2}}, weight 1.
+    partition (_lhs_terms, opvalued.loop_polynomials).
 
     >>> f = lhs_function(counterexample_word(4, "quantum"))
     >>> sorted((str(kap), str(re), str(im)) for kap, (re, im) in f.entries.items())
     [('{{1,2,3,4}}', '(3n^2 - 4)/(n^4 - 2n^2)', '0'), ('{{1,2},{3,4}}', '(3n^2 - 4)/(n^4 - 2n^2)', '0')]
     """
-    if word.letters:
-        weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
-        terms = [(_slot_partition(word, p, q), w) for (p, q), w in weights.items() if w]
-    else:
-        terms = [(Partition(2, ((1, 2),)), RationalFunction.one())]
     entries: dict = {}
-    for constraint, w in terms:
+    for constraint, w in _lhs_terms(word):
         w = w * RationalFunction.monomial(-1)
         for kap, (re, im) in loop_polynomials(constraint, word.all_factors()).items():
             acc = entries.get(kap, (RationalFunction.zero(),) * 2)

@@ -471,12 +471,10 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
             kap: g for kap, v in comps.items() if len(kap.blocks) <= n and (g := _as_gauss(v))
         })
 
-    def lift(self, a: "BMatrix") -> tuple | None:
+    def lift(self, a: "BMatrix") -> dict | None:
         return _diagram_terms(a)
 
-    def fast_sum(self, constraint: Partition, lifts: list) -> MatrixUnitElement | None:
-        if math.prod(map(len, lifts)) > MAX_DIAGRAM_CHOICES:
-            return None
+    def fast_sum(self, constraint: Partition, lifts: list) -> MatrixUnitElement:
         terms, denominator = _loop_sum(constraint, lifts)
         n = self.n
         classes: dict[Partition, list] = {}
@@ -655,10 +653,10 @@ class DiagramMatrix(BMatrix):
     +, scalar multiples and @ (diagram composition, each closed component
     adding one to the power) are exact at every N, also below N = 6 where
     two combinations of diagrams can give one matrix.  The terms do not
-    depend on N; rows (the entries, built on first use for the transfer
-    scan, norms and comparisons), expectation and lift() evaluate the powers
-    at the algebra's N.  An operand that is a plain BMatrix takes the
-    BMatrix operation on the entries.
+    depend on N and are the matrix's lift at every N; only rows (the
+    entries, built on first use for the transfer scan, norms and
+    comparisons) evaluate the powers at the algebra's N.  An operand that is
+    a plain BMatrix takes the BMatrix operation on the entries.
     """
 
     __slots__ = ("terms", "_rows")
@@ -668,7 +666,6 @@ class DiagramMatrix(BMatrix):
         self.size = algebra.n
         self.terms = {key: g for key, v in terms.items() if (g := _as_gauss(v))}
         self._rows = None
-        self._lift = _UNLIFTED
 
     @classmethod
     def identity(cls, algebra: MatrixUnitAlgebra, size: int) -> "DiagramMatrix":
@@ -706,16 +703,8 @@ class DiagramMatrix(BMatrix):
             self._rows = tuple(tuple(MatrixUnitElement(n, c) for c in row) for row in cells)
         return self._rows
 
-    def lift(self) -> tuple:
-        """The lift at the algebra's N: each diagram once, with its powers
-        of N evaluated."""
-        if self._lift is _UNLIFTED:
-            n = self.size
-            at_n: dict[tuple, GaussianRational] = {}
-            for (pi, power), d in self.terms.items():
-                at_n[pi, 0] = at_n.get((pi, 0), _ZERO) + d * n**power
-            self._lift = _leg_offsets(at_n)
-        return self._lift
+    def lift(self) -> dict:
+        return self.terms
 
     def __matmul__(self, other: BMatrix) -> BMatrix:
         if not isinstance(other, DiagramMatrix):
@@ -739,40 +728,20 @@ class DiagramMatrix(BMatrix):
         c = _as_gauss(c)
         return DiagramMatrix(self.algebra, {key: v * c for key, v in self.terms.items()})
 
-    def expectation(self) -> MatrixUnitElement:
-        """E_N as the partial trace over (r, c), divided by N: joining r to c
-        closes a loop when the two legs form a block of their own."""
-        n = self.size
-        classes: dict[Partition, GaussianRational] = {}
-        for (pi, power), d in self.terms.items():
-            pattern, closed = _glued(pi, 6, ((0, 1),), (2, 3, 4, 5))
-            v = d * Fraction(n**(closed + power), n)
-            for kap, _ in _coarsenings(pattern):
-                classes[kap] = classes.get(kap, _ZERO) + v
-        return self.algebra.from_components(classes)
-
 
 @lru_cache(maxsize=None)
 def _compose(p: Partition, q: Partition) -> tuple[Partition, int]:
     """The diagram of p @ q and its closed components: p's legs (c, b, b')
-    are glued to q's legs (r, a, a')."""
-    shifted = Partition(12, p.blocks + tuple(tuple(leg + 6 for leg in b) for b in q.blocks))
-    return _glued(shifted, 12, ((1, 6), (3, 8), (5, 10)), (0, 7, 2, 9, 4, 11))
-
-
-@lru_cache(maxsize=None)
-def _glued(pi: Partition, nlegs: int, glue: tuple, outputs: tuple) -> tuple[Partition, int]:
-    """Join the blocks of pi (legs 1..nlegs) along the glued 0-based leg
-    pairs; the partition the outputs fall into and the number of components
-    that meet no output."""
-    parent = list(range(nlegs))
-    for block in pi.blocks:
+    (0-based 1, 3, 5) are glued to q's legs (r, a, a') (6, 8, 10), and a
+    closed component is one that meets none of the outer legs."""
+    parent = list(range(12))
+    for block in p.blocks + tuple(tuple(leg + 6 for leg in b) for b in q.blocks):
         for leg in block[1:]:
             _union(parent, block[0] - 1, leg - 1)
-    for x, y in glue:
+    for x, y in ((1, 6), (3, 8), (5, 10)):
         _union(parent, x, y)
-    roots = [_find(parent, x) for x in outputs]
-    closed = len({_find(parent, x) for x in range(nlegs)}) - len(set(roots))
+    roots = [_find(parent, x) for x in (0, 7, 2, 9, 4, 11)]
+    closed = len({_find(parent, x) for x in range(12)}) - len(set(roots))
     return kernel(roots), closed
 
 
@@ -834,9 +803,9 @@ def constrained_sum(constraint: Partition, args):
     and the algebra's fast_sum applies, its value is returned: an integer
     tensor contraction over DenseAlgebra (_tensor_sum) while einsum has
     subscripts enough, or loop counting over partition-algebra diagrams
-    (_loop_sum) for permutation-invariant matrices over MatrixUnitAlgebra with
-    at most MAX_DIAGRAM_CHOICES choices of one diagram per factor.  Otherwise
-    the transfer scan (_scan_sum) runs, the oracle of the fast routes.
+    (_loop_sum) for permutation-invariant matrices over MatrixUnitAlgebra.
+    Otherwise (a factor without a lift, or too few einsum subscripts) the
+    transfer scan (_scan_sum) runs, the oracle of the fast routes.
     """
     args = _check_args(args)
     if constraint.size != 2 * len(args):
@@ -854,7 +823,7 @@ def loop_polynomials(constraint: Partition, factors) -> dict:
     as a (re, im) pair of RationalFunctions: _loop_sum's polynomials in N."""
     if not all(isinstance(f, DiagramMatrix) for f in factors):
         raise TypeError("loop_polynomials needs DiagramMatrix factors")
-    terms, denominator = _loop_sum(constraint, [_leg_offsets(f.terms) for f in factors])
+    terms, denominator = _loop_sum(constraint, [f.lift() for f in factors])
     out: dict = {}
     for (kap, power), (re, im) in terms.items():
         x = RationalFunction.monomial(power) / denominator
@@ -937,13 +906,7 @@ def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseEle
     })
 
 
-# the most choices of one diagram per factor that _loop_sum walks.  Each
-# choice costs about 6 microseconds; the scan it replaces costs about as
-# much as 64-100 choices at N = 2 and ten times more from N = 3 on
-MAX_DIAGRAM_CHOICES = 256
-
-
-def _diagram_terms(a: BMatrix) -> tuple | None:
+def _diagram_terms(a: BMatrix) -> dict | None:
     """A matrix over matrix units as a partition-algebra element, or None.
 
     The entries A_rc = sum x E_ab(1) E_a'b'(2) form a map on 6-tuples of
@@ -952,8 +915,9 @@ def _diagram_terms(a: BMatrix) -> tuple | None:
     equals sum_pi d_pi delta_pi, where delta_pi is 1 on the tuples constant
     on the blocks of pi and d_pi = sum_{k <= pi} mu(k, pi) x_k (Moebius
     inversion on the full partition lattice).  That holds at every N, since
-    a class with more blocks than N has no tuples.  Returns the lift of
-    _leg_offsets, every power 0, or None for a map that is not invariant.
+    a class with more blocks than N has no tuples.  Returns the nonzero d_pi
+    keyed by (pi, 0), the terms of a DiagramMatrix, or None for a map that
+    is not invariant.
     """
     items = (
         ((r, c) + quad, v)
@@ -969,18 +933,7 @@ def _diagram_terms(a: BMatrix) -> tuple | None:
     for kap, x in orbits.items():
         for pi, mu in _coarsenings(kap):
             coeffs[pi, 0] = coeffs.get((pi, 0), _ZERO) + x * mu
-    return _leg_offsets(coeffs)
-
-
-def _leg_offsets(coeffs: dict) -> tuple:
-    """Coefficients keyed by (diagram, power of N) as the lift that
-    _loop_sum reads: the nonzero ((blocks as leg offsets 0..5, power), d)
-    pairs."""
-    return tuple(
-        ((tuple(tuple(leg - 1 for leg in block) for block in pi.blocks), power), d)
-        for (pi, power), d in coeffs.items()
-        if d
-    )
+    return {key: d for key, d in coeffs.items() if d}
 
 
 @lru_cache(maxsize=None)
@@ -999,17 +952,18 @@ def _coarsenings(kap: Partition) -> tuple:
 def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int]:
     """The constrained sum of partition-algebra factors by loop counting.
 
-    Factor k has the legs 6k..6k+5 = (r, c, a, b, a', b').  For each choice
-    of one diagram per factor, union-find joins the legs that are forced
-    equal: the row and column slots of each constraint block, the chains
-    b_k ~ a_{k+1} and b'_k ~ a'_{k+1} of the matrix-unit products, and the
-    blocks of the chosen diagrams.  Each component that meets none of the
-    four output legs (a_1, b_m, a'_1, b'_m) is a closed loop and adds one to
-    the power of N, as the chosen diagrams' powers do; how the output legs
-    fall together is a delta pattern, and the coefficient of a kernel class
-    is the sum over the patterns below it.  Returns each class's polynomial
-    in N, as Gaussian integers [re, im] keyed by (kernel class, power of N),
-    and their common denominator.
+    Each lift maps (diagram, power of N) to a coefficient, as
+    DiagramMatrix.terms does.  Factor k has the legs 6k..6k+5 = (r, c, a, b,
+    a', b').  For each choice of one diagram per factor, union-find joins
+    the legs that are forced equal: the row and column slots of each
+    constraint block, the chains b_k ~ a_{k+1} and b'_k ~ a'_{k+1} of the
+    matrix-unit products, and the blocks of the chosen diagrams.  Each
+    component that meets none of the four output legs (a_1, b_m, a'_1, b'_m)
+    is a closed loop and adds one to the power of N, as the chosen diagrams'
+    powers do; how the output legs fall together is a delta pattern, and the
+    coefficient of a kernel class is the sum over the patterns below it.
+    Returns each class's polynomial in N, as Gaussian integers [re, im]
+    keyed by (kernel class, power of N), and their common denominator.
     """
     m = len(lifts)
     nlegs = 6 * m
@@ -1027,11 +981,13 @@ def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int]:
     choices = []
     denominator = 1
     for k, lift in enumerate(lifts):
-        pairs, scale = _gaussian_integers(d for _, d in lift)
+        pairs, scale = _gaussian_integers(lift.values())
         denominator *= scale
+        # leg l (1..6) of factor k's diagram is leg 6k + l - 1
+        off = 6 * k - 1
         choices.append([
-            ([(6 * k + b[0], 6 * k + leg) for b in blocks for leg in b[1:]], power, re, im)
-            for ((blocks, power), _), (re, im) in zip(lift, pairs)
+            ([(off + b[0], off + leg) for b in pi.blocks for leg in b[1:]], power, re, im)
+            for (pi, power), (re, im) in zip(lift, pairs)
         ])
     # (output pattern, power of N) -> Gaussian integer [re, im]
     totals: dict[tuple, list] = {}

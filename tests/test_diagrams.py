@@ -6,15 +6,15 @@ by == at every N, including N < 6, where one matrix has several diagram
 forms and the per-N lift picks one of them.
 """
 
-import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qhaar import freeness, opvalued
+from qhaar import opvalued
 from qhaar.freeness import (
     ConstantPattern,
     FamilySpec,
@@ -26,6 +26,7 @@ from qhaar.freeness import (
     _scalar_matrix,
     infinitesimal_check,
     lhs_exact,
+    lhs_function,
     load_scenario,
 )
 from qhaar.opvalued import (
@@ -72,10 +73,15 @@ def assert_same_matrix(diagram, per_n: BMatrix) -> None:
     assert isinstance(diagram, DiagramMatrix)
     assert type(per_n) is BMatrix
     assert diagram == per_n
-    assert diagram.expectation() == expectation(per_n)
-    if diagram.size >= 6:
-        # every diagram has members, so the lift is unique
-        assert dict(diagram.lift()) == dict(_diagram_terms(per_n))
+    n = diagram.size
+    assert lhs_exact(MixedWord("quantum", (), diagram), n) == expectation(per_n)
+    if n >= 6:
+        # every diagram has members, so the lift at N is unique: the N-free
+        # lift with its powers of N evaluated
+        at_n: dict = {}
+        for (pi, power), d in diagram.lift().items():
+            at_n[pi, 0] = at_n.get((pi, 0), 0) + d * n**power
+        assert {key: d for key, d in at_n.items() if d} == _diagram_terms(per_n)
 
 
 class TestDiagramArithmetic:
@@ -280,18 +286,42 @@ def test_lhs_function_equals_lhs_exact_on_random_words(flavor):
     pair = InfinitesimalPair.from_scenario(load_scenario(data))
     # classical weights of six letters have a pole at N = 2
     sizes = range(2 if flavor == "quantum" else 3, 9)
-    checked = 0
-    while checked < 20:
+    for _ in range(20):
         tokens = rand_tokens(rng)
-        word = pair.realize(tokens, sizes[-1])
-        # keep words whose per-N sums take loop counting; the scan at N = 8
-        # would take minutes
-        if math.prod(len(f.lift()) for f in word.all_factors()) > opvalued.MAX_DIAGRAM_CHOICES:
-            continue
         f = pair.moments(tokens)
         for n in sizes:
             assert f.value_at(n, MatrixUnitAlgebra(n)) == lhs_exact(pair.realize(tokens, n), n), (tokens, n)
-        checked += 1
+
+
+def test_six_letter_word_with_many_diagram_choices(monkeypatch):
+    # three diagrams per factor, so 729 choices of one diagram per factor:
+    # every per-N sum must count loops, since the transfer scan takes
+    # minutes on them over N = 2..10
+    t0 = time.perf_counter()
+    entry = "E({0}, j, i) + ({1}) * E({2}, j, i) + E({0}, i, i) * E({0}, j, j)"
+    data = {
+        "name": "six-letter",
+        "flavor": "quantum",
+        "algebra": {"kind": "matrix_unit"},
+        "families": {
+            "A": {"constructor": "matrix_unit_pattern", "entry": entry.format(1, "1/2", 2)},
+            "B": {"constructor": "matrix_unit_pattern", "entry": entry.format(2, "-1/3", 1)},
+        },
+        "word": [{"label": 1, "sign": s, "factor": f} for s, f in (("1", "A"), ("*", "B"))] * 3,
+        "n_range": [2, 10],
+    }
+    scenario = load_scenario(data)
+    assert [len(f.lift()) for f in scenario.word_at(6).all_factors()] == [3] * 6
+    assert scenario.report().verdict
+    f = lhs_function(scenario.word_at(2))
+    values = {}
+    for n in range(2, 11):
+        values[n] = lhs_exact(scenario.word_at(n), n)
+        assert values[n] == f.value_at(n, MatrixUnitAlgebra(n)), n
+    monkeypatch.setattr(DiagramMatrix, "lift", lambda self: None)
+    for n in (2, 3):
+        assert lhs_exact(scenario.word_at(n), n) == values[n], n
+    assert time.perf_counter() - t0 < 30
 
 
 def test_infinitesimal_check_composes_diagrams(monkeypatch):
@@ -316,9 +346,7 @@ def test_infinitesimal_check_composes_diagrams(monkeypatch):
 
     monkeypatch.setattr(InfinitesimalPair, "realize", tracked_realize)
     monkeypatch.setattr(BMatrix, "__matmul__", counted("matmul", BMatrix.__matmul__))
-    lift = counted("lift", _diagram_terms)
-    monkeypatch.setattr(opvalued, "_diagram_terms", lift)
-    monkeypatch.setattr(freeness, "_diagram_terms", lift)
+    monkeypatch.setattr(opvalued, "_diagram_terms", counted("lift", _diagram_terms))
 
     scenario = load_scenario(SCENARIO_DIR / "infinitesimal_flip.json")
     assert calls["lift"] == 0
