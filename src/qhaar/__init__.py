@@ -26,7 +26,6 @@ from .freeness import (
     lhs_exact,
     limit_formula,
     load_scenario,
-    rotated_limit,
 )
 from .weingarten import EntryWord, Letter, build_table, word_moment
 
@@ -49,7 +48,6 @@ __all__ = [
     "lhs_exact",
     "limit_formula",
     "load_scenario",
-    "rotated_limit",
     "word_moment",
     "__version__",
 ]

@@ -48,8 +48,8 @@ from .partitions import (
     Partition,
     SignPattern,
     _find,
+    _signed_catalan,
     _union,
-    catalan,
     enumerate_family,
     fatten,
     interleave,
@@ -70,7 +70,6 @@ __all__ = [
     "lhs_function",
     "limit_formula",
     "cumulant_limit",
-    "rotated_limit",
     "ReportRow",
     "ConvergenceReport",
     "convergence_report",
@@ -255,6 +254,23 @@ def _lhs_terms(word: MixedWord) -> list:
     return [(_slot_partition(word, p, q), w) for (p, q), w in weights.items() if w]
 
 
+def _evaluate_terms(terms, word: MixedWord):
+    """The sum over (constraint, weight) terms of the weight at the word's
+    size times the constrained sum of the word's factors (lead included)."""
+    n = word.size
+    factors = word.all_factors()
+    total = word.algebra.zero()
+    for constraint, w in terms:
+        wn = w.evaluate(n)
+        if not wn:
+            continue
+        block_sum = constrained_sum(constraint, factors)
+        if not block_sum:
+            continue
+        total = total + block_sum * wn
+    return total
+
+
 def lhs_exact(word: MixedWord, n: int | None = None):
     """Exact value of (Haar state tensor tr_N tensor id)[word] at size N.
 
@@ -268,17 +284,7 @@ def lhs_exact(word: MixedWord, n: int | None = None):
         raise ValueError("evaluation requires N >= 2")
     if word.size != n:
         raise ValueError(f"word is built at size {word.size}, not {n}")
-    factors = word.all_factors()
-    total = word.algebra.zero()
-    for constraint, w in _lhs_terms(word):
-        wn = w.evaluate(n)
-        if not wn:
-            continue
-        block_sum = constrained_sum(constraint, factors)
-        if not block_sum:
-            continue
-        total = total + block_sum * wn
-    return total * Fraction(1, n)
+    return _evaluate_terms(_lhs_terms(word), word) * Fraction(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +300,16 @@ def _require_limit_word(word: MixedWord) -> None:
         raise ValueError("the limit formula needs at least two unitary letters")
 
 
-def limit_formula(word: MixedWord):
-    """Limit of lhs_exact as N grows: a Mobius sum of nested expectations.
-
-    Runs over pairs sigma <= pi of admissible noncrossing partitions on the
-    half points whose fattenings respect the label kernel, and evaluates the
-    nested expectation functional along sigma interleaved with the Kreweras
-    complement of pi.
-    """
-    _require_limit_word(word)
+def _limit_terms(word: MixedWord):
+    """Yield limit_formula's (constraint, weight) terms: for each pair sigma
+    <= pi of admissible noncrossing partitions whose fattenings respect the
+    label kernel, fatten(tau) and mu(sigma, pi) N^-|tau| with tau = sigma
+    interleaved with the Kreweras complement of pi, as in functional_e(tau)."""
     m2 = len(word.letters)
     eps = SignPattern(word.signs())
     ker_l = kernel(word.labels())
-    factors = word.factors()
     family = enumerate_family("nc_eps", m2 // 2, eps).members
     fat = {p: fatten(p) for p in family}
-    total = word.algebra.zero()
     for pi in family:
         kp = kreweras(pi)
         for sigma in family:
@@ -317,48 +317,37 @@ def limit_formula(word: MixedWord):
                 continue
             if not leq(join_full(fat[pi], fat[sigma]), ker_l):
                 continue
-            term = functional_e(interleave(sigma, kp), factors)
-            total = total + term * mobius(sigma, pi)
-    return total
+            tau = interleave(sigma, kp)
+            yield fatten(tau), RationalFunction((mobius(sigma, pi),), (0,) * len(tau.blocks) + (1,))
+
+
+def limit_formula(word: MixedWord):
+    """Limit of lhs_exact as N grows: a Mobius sum of nested expectations
+    (_limit_terms), evaluated at the word's size."""
+    _require_limit_word(word)
+    return _evaluate_terms(_limit_terms(word), word)
 
 
 def cumulant_limit(word: MixedWord):
     """Independent limit evaluation through free-cumulant weights.
 
-    Expands the state over noncrossing partitions refining the label kernel;
-    a block contributes only when its signs alternate, with the signed
-    Catalan weight of the free Haar unitary, and the factors are integrated
+    Expands the state over the noncrossing partitions refining the label
+    kernel whose blocks alternate in sign (nch_eps), each with the signed
+    Catalan weight of the free Haar unitary, and integrates the factors
     along the Kreweras complement.  Kept separate from limit_formula so the
     two routes stay independent cross-checks.
     """
     _require_limit_word(word)
     m2 = len(word.letters)
-    eps = word.signs()
     ker_l = kernel(word.labels())
     factors = word.factors()
     total = word.algebra.zero()
-    for tau in enumerate_family("nc", m2).members:
+    for tau in enumerate_family("nch_eps", m2, SignPattern(word.signs())).members:
         if not leq(tau, ker_l):
             continue
-        weight = 1
-        for block in tau.blocks:
-            s = [eps[v - 1] for v in block]
-            if len(s) % 2 == 1 or any(s[t] == s[t + 1] for t in range(len(s) - 1)):
-                weight = 0
-                break
-            h = len(s) // 2
-            weight *= (-1) ** (h - 1) * catalan(h - 1)
-        if not weight:
-            continue
+        weight = math.prod(_signed_catalan(len(block) // 2) for block in tau.blocks)
         total = total + functional_e(kreweras(tau), factors) * weight
     return total
-
-
-def rotated_limit(factors_a, factors_b):
-    """Limit of the rotated word U A(1) U* B(1) ...; only the two separate
-    family distributions enter, which is the content of the freeness claim."""
-    word = MixedWord.rotated("quantum", factors_a, factors_b)
-    return limit_formula(word)
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +630,10 @@ class Scenario:
         matrix = DiagramMatrix if self.kind == "matrix_unit" else BMatrix
         return matrix.identity(self.algebra(n), n)
 
-    def constant(self, pattern: "ConstantPattern", n: int) -> BMatrix:
-        """The identity of M_N(B) times a size-independent element; over
-        matrix units, straight from its kernel-class coefficients."""
-        algebra = self.algebra(n)
-        if self.kind == "matrix_unit":
-            return DiagramMatrix.scalar(algebra, pattern.entries)
-        return _scalar_matrix(algebra, n, pattern.value_element(algebra))
+    def constant(self, pattern: "ConstantPattern", n: int) -> DiagramMatrix:
+        """The identity of M_N(B) times a size-independent element, straight
+        from its kernel-class coefficients."""
+        return DiagramMatrix.scalar(self.algebra(n), pattern.entries)
 
     def word_at(self, n: int) -> MixedWord:
         mats = {name: self.family_matrix(name, n) for name in self.families}
@@ -956,21 +942,14 @@ class ConstantPattern:
         """Copy with delta added to one coordinate; negative-control helper."""
         return self._plus({key: delta})
 
-    def value_element(self, algebra: CoefficientAlgebra):
-        """Realize the pattern inside a concrete algebra instance."""
-        return algebra.from_components(self.entries)
-
 
 def _series_abs(f: RationalFunction, shift: int) -> Fraction:
-    first = laurent_at_infinity(f, 0)
-    if first.is_zero:
-        return Fraction(0)
-    lead = first.leading_exponent
-    if lead > 0:
+    top, bottom = f.degrees()
+    if f and top > bottom:
         raise ValueError("moment grows with N; no Laurent constant exists")
-    if -shift > lead:
+    if not f or top - bottom < -shift:
         return Fraction(0)
-    return laurent_at_infinity(f, lead + shift).abs_coefficient(-shift)
+    return laurent_at_infinity(f, top - bottom + shift).abs_coefficient(-shift)
 
 
 @dataclass
@@ -1042,12 +1021,6 @@ class WordToken(NamedTuple):
     @classmethod
     def const(cls, pattern: ConstantPattern) -> "WordToken":
         return cls("const", pattern=pattern)
-
-
-def _scalar_matrix(algebra: CoefficientAlgebra, n: int, element) -> BMatrix:
-    """element times the identity of M_N(B), without multiplying out the zeros."""
-    zero = algebra.zero()
-    return BMatrix(algebra, [[element if a == b else zero for b in range(n)] for a in range(n)])
 
 
 # words are realized at this size; their diagrams are the same at every N

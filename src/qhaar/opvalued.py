@@ -477,11 +477,14 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
     def fast_sum(self, constraint: Partition, lifts: list) -> MatrixUnitElement:
         terms, denominator = _loop_sum(constraint, lifts)
         n = self.n
+        # negative powers of N move into the denominator, so every sum is of ints
+        low = min([0, *(power for _, power in terms)])
+        denominator *= n**-low
         classes: dict[Partition, list] = {}
         for (kap, power), (re, im) in terms.items():
             acc = classes.setdefault(kap, [0, 0])
-            acc[0] += re * n**power
-            acc[1] += im * n**power
+            acc[0] += re * n ** (power - low)
+            acc[1] += im * n ** (power - low)
         return self.from_components({
             kap: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
             for kap, (re, im) in classes.items()
@@ -691,7 +694,7 @@ class DiagramMatrix(BMatrix):
             n = self.size
             cells = [[{} for _ in range(n)] for _ in range(n)]
             for (pi, power), d in self.terms.items():
-                d = d * n**power
+                d = d * Fraction(n) ** power
                 for values in itertools.product(range(1, n + 1), repeat=len(pi.blocks)):
                     legs = [0] * 6
                     for block, v in zip(pi.blocks, values):

@@ -23,7 +23,6 @@ from qhaar.freeness import (
     Scenario,
     UnitaryLetter,
     WordToken,
-    _scalar_matrix,
     infinitesimal_check,
     lhs_exact,
     lhs_function,
@@ -111,7 +110,7 @@ class TestDiagramArithmetic:
         classes = enumerate_family("all", 4).members
         comps = {kap: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for kap in rng.sample(classes, 6)}
         element = alg.from_components(comps)
-        assert_same_matrix(DiagramMatrix.scalar(alg, comps), _scalar_matrix(alg, n, element))
+        assert_same_matrix(DiagramMatrix.scalar(alg, comps), BMatrix.identity(alg, n).left_mul(element))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_plain_operand_takes_the_entry_route(self, n):
@@ -196,7 +195,7 @@ class PerNScenario(Scenario):
 
     def constant(self, pattern, n):
         algebra = self.algebra(n)
-        return _scalar_matrix(algebra, n, pattern.value_element(algebra))
+        return BMatrix.identity(algebra, n).left_mul(algebra.from_components(pattern.entries))
 
 
 def flip_pairs() -> tuple[InfinitesimalPair, InfinitesimalPair]:

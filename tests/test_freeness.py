@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,7 +17,8 @@ from qhaar.freeness import (
     Scenario,
     UnitaryLetter,
     WordToken,
-    _scalar_matrix,
+    _limit_terms,
+    _slot_partition,
     convergence_report,
     counterexample,
     counterexample_word,
@@ -31,19 +33,18 @@ from qhaar.freeness import (
     load_scenario,
     report_to_csv,
     report_to_json,
-    rotated_limit,
 )
 from qhaar.opvalued import (
     BMatrix,
     DenseAlgebra,
     MatrixUnitAlgebra,
-    MatrixUnitElement,
     evaluate_expression,
     expectation,
     parse_expression,
 )
 from qhaar.oracles import brute_force_moment, laurent_moments
-from qhaar.partitions import Partition
+from qhaar.partitions import Partition, SignPattern
+from qhaar.weingarten import build_table
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -257,12 +258,20 @@ class TestLimitFormulas:
             w = MixedWord("quantum", tuple(letters))
             assert limit_formula(w) == cumulant_limit(w)
 
-    def test_rotated_limit_specialization(self):
-        rng = random.Random(43)
-        fa = [rand_matrix(rng, 2) for _ in range(2)]
-        fb = [rand_matrix(rng, 2) for _ in range(2)]
-        w = MixedWord.rotated("quantum", fa, fb)
-        assert rotated_limit(fa, fb) == limit_formula(w)
+    def test_limit_constraints_are_lhs_slot_partitions(self):
+        # each fattened sigma interleaved with K(pi) is the slot partition of a
+        # pairing pair, so the two sides sum constrained sums of one kind
+        a = rand_matrix(random.Random(53), 2)
+        checked = 0
+        for m2 in (2, 4, 6, 8):
+            for signs in itertools.product("1*", repeat=m2):
+                w = MixedWord("quantum", tuple(UnitaryLetter(1, s, a) for s in signs))
+                family = build_table("quantum", SignPattern(signs)).family
+                slots = {_slot_partition(w, p, q) for p in family for q in family}
+                for constraint, _ in _limit_terms(w):
+                    assert constraint in slots
+                    checked += 1
+        assert checked == 576
 
     def test_limit_rejects_classical_and_lead(self):
         rng = random.Random(47)
@@ -536,14 +545,14 @@ class TestConstantPattern:
     def test_dense_round_trip(self):
         one = GaussianRational.one()
         p = ConstantPattern("dense", 2, {(0, 0): one, (1, 1): one})
-        assert p.value_element(ALG2) == ALG2.one()
+        assert ALG2.from_components(p.entries) == ALG2.one()
 
     def test_matrix_unit_one_pattern(self):
         pair = flip_infinitesimal_pair()
         p = pair.one_pattern()
         for n in (4, 5):
             alg = MatrixUnitAlgebra(n)
-            assert p.value_element(alg) == alg.one()
+            assert alg.from_components(p.entries) == alg.one()
 
     def test_add_sub_shift(self):
         one = GaussianRational.one()
@@ -736,21 +745,6 @@ class TestInfinitesimal:
         a = pair.scenario.family_matrix("A", n)
         assert w.letters[0].factor == a @ a
         assert w.lead is None
-
-    @pytest.mark.parametrize("alg", [DenseAlgebra(2), MatrixUnitAlgebra(3)], ids=repr)
-    def test_scalar_matrix_is_identity_times_element(self, alg):
-        rng = random.Random(12)
-        if isinstance(alg, DenseAlgebra):
-            x = rand_element(rng, alg)
-        else:
-            x = MatrixUnitElement(3, {
-                tuple(rng.randint(1, 3) for _ in range(4)):
-                    GaussianRational(Fraction(rng.randint(-2, 2), 3), Fraction(rng.randint(-1, 1)))
-                for _ in range(5)
-            })
-        assert x
-        for n in (1, 2, 3):
-            assert _scalar_matrix(alg, n, x) == BMatrix.identity(alg, n).left_mul(x)
 
     def test_realization_of_empty_word(self):
         pair = flip_infinitesimal_pair()

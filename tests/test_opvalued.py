@@ -674,11 +674,12 @@ class TestLoopSum:
             assert lifted == {pi: d for pi, d in expected.items() if d}
 
     def test_loop_polynomials_equal_the_scan_at_each_n(self):
-        # diagram coefficients carry powers of N, which the polynomials keep
+        # diagram coefficients carry powers of N, negative ones included, which
+        # the polynomials keep and loop counting at one N evaluates exactly
         rng = random.Random(215)
         shapes = [p for p in enumerate_family("all", 6) if len(p.blocks) <= 3]
         terms = [
-            {(rng.choice(shapes), rng.randint(0, 2)): rand_gauss(rng) for _ in range(2)}
+            {(rng.choice(shapes), power): rand_gauss(rng) for power in (-1, 0, 1, 2)}
             for _ in range(2)
         ]
         for m in (1, 2):
@@ -694,6 +695,7 @@ class TestLoopSum:
                     })
                     args = [DiagramMatrix(alg, t) for t in terms[:m]]
                     assert value == _scan_sum(constraint, args)
+                    assert value == constrained_sum(constraint, args)
 
     def test_loop_polynomials_need_diagrams(self):
         alg = MatrixUnitAlgebra(3)
