@@ -18,7 +18,17 @@ from qhaar.opvalued import (
     functional_e,
 )
 from qhaar.oracles import brute_force_moment, free_product_moment, nested_functional
-from qhaar.partitions import SignPattern, enumerate_family
+from qhaar.partitions import (
+    SignPattern,
+    enumerate_family,
+    fatten,
+    interleave,
+    join_full,
+    kernel,
+    kreweras,
+    leq,
+    mobius,
+)
 from qhaar.weingarten import EntryWord, Letter, word_moment
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -232,6 +242,23 @@ def test_functional_e_matches_oracle_on_invariant_matrix_units(routes, n):
     assert assert_every_sigma_agrees(mats) == 3
 
 
+def oracle_limit(word):
+    """The Mobius sum over sigma <= pi of nested_functional along sigma
+    interleaved with K(pi), written out independently of _limit_terms."""
+    m2 = len(word.letters)
+    eps = SignPattern(word.signs())
+    ker_l = kernel(word.labels())
+    factors = word.factors()
+    family = enumerate_family("nc_eps", m2 // 2, eps).members
+    total = word.algebra.zero()
+    for pi in family:
+        for sigma in family:
+            if leq(sigma, pi) and leq(join_full(fatten(pi), fatten(sigma)), ker_l):
+                tau = interleave(sigma, kreweras(pi))
+                total = total + nested_functional(tau, factors) * mobius(sigma, pi)
+    return total
+
+
 def test_limit_formula_unchanged_under_the_oracle(monkeypatch):
     words = [
         (path.name, n, load_scenario(path).word_at(n).as_quantum())
@@ -241,6 +268,11 @@ def test_limit_formula_unchanged_under_the_oracle(monkeypatch):
     assert len(words) == 25
     production = [limit_formula(word) for _, _, word in words]
     assert any(production)
+    for (name, n, word), value in zip(words, production):
+        assert oracle_limit(word) == value, (name, n)
+    # limit_formula reads _limit_terms through constrained_sum and never
+    # reaches functional_e; cumulant_limit does, so with the oracle in its
+    # place the free-cumulant route must still land on the production values
     monkeypatch.setattr(freeness, "functional_e", nested_functional)
     for (name, n, word), value in zip(words, production):
-        assert limit_formula(word) == value, (name, n)
+        assert freeness.cumulant_limit(word) == value, (name, n)
