@@ -244,8 +244,8 @@ def _pgcd(a, b) -> tuple[int, ...]:
     return a
 
 
-def _peval(a, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _peval(a, x: int | Fraction) -> int | Fraction:
+    out = 0
     for c in reversed(a):
         out = out * x + c
     return out
@@ -482,11 +482,12 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def evaluate(self, x) -> Fraction:
-        xq = Fraction(x)
+        # an int argument keeps Horner in int arithmetic, one Fraction at the end
+        xq = x if isinstance(x, int) else Fraction(x)
         d = _peval(self.den, xq)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at n = {x}")
-        return _peval(self.num, xq) / d
+        return Fraction(_peval(self.num, xq), d)
 
     def degrees(self) -> tuple[int, int]:
         return (_pdeg(self.num), _pdeg(self.den))

@@ -233,7 +233,7 @@ class DenseAlgebra(CoefficientAlgebra):
             rows[a][b] = _as_gauss(v)
         return DenseElement(self.dim, rows)
 
-    def lift(self, a: "BMatrix") -> tuple[np.ndarray, int]:
+    def lift(self, a: "BMatrix") -> tuple[np.ndarray, int, int]:
         return _integer_tensor(a)
 
     def fast_sum(self, constraint: Partition, lifts: list) -> DenseElement | None:
@@ -804,9 +804,10 @@ def constrained_sum(constraint: Partition, args):
     row, slot 2k its column); the sum runs over all tuples i whose kernel is
     refined by the constraint.  When every factor has a lift (BMatrix.lift)
     and the algebra's fast_sum applies, its value is returned: an integer
-    tensor contraction over DenseAlgebra (_tensor_sum) while einsum has
-    subscripts enough, or loop counting over partition-algebra diagrams
-    (_loop_sum) for permutation-invariant matrices over MatrixUnitAlgebra.
+    tensor contraction over DenseAlgebra (_tensor_sum, on int64 below a proven
+    overflow bound) while einsum has subscripts enough, or loop counting over
+    partition-algebra diagrams (_loop_sum) for permutation-invariant matrices
+    over MatrixUnitAlgebra.
     Otherwise (a factor without a lift, or too few einsum subscripts) the
     transfer scan (_scan_sum) runs, the oracle of the fast routes.
     """
@@ -857,19 +858,20 @@ def _gaussian_integers(values) -> tuple[list, int]:
     ], scale
 
 
-def _integer_tensor(a: BMatrix) -> tuple[np.ndarray, int]:
-    """L times a's entries in real 2d x 2d form, as Python ints, and L.
+def _integer_tensor(a: BMatrix) -> tuple[np.ndarray, int, int]:
+    """L times a's entries in real 2d x 2d form, L, and M, its largest |entry|.
 
     L is the common denominator of _gaussian_integers; the tensor has shape
-    (N, N, 2d, 2d) with block [[re, -im], [im, re]].
+    (N, N, 2d, 2d), block [[re, -im], [im, re]], int64 if M < 2^63, else Python ints.
     """
     pairs, scale = _gaussian_integers(
         v for row in a.rows for x in row for r in x.rows for v in r
     )
     n, d = a.size, a.algebra.dim
-    ints = np.array(pairs, dtype=object)
+    bound = max(abs(v) for pair in pairs for v in pair)
+    ints = np.array(pairs, dtype=np.int64 if bound < 2**63 else object)
     re, im = ints[:, 0].reshape(n, n, d, d), ints[:, 1].reshape(n, n, d, d)
-    return np.block([[re, -im], [im, re]]), scale
+    return np.block([[re, -im], [im, re]]), scale, bound
 
 
 def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseElement:
@@ -878,7 +880,10 @@ def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseEle
     Factor k carries the subscripts (block of slot 2k-1, block of slot 2k,
     chain k-1, chain k); contracting the chain multiplies the d x d blocks in
     order, and repeating a block's subscript imposes its index equalities.
-    Python ints keep every value exact; the scales divide out at the end.
+    Any entry of the total or of an intermediate, in any contraction order,
+    sums at most N^blocks (2d)^(m+1) products of one entry per factor, so
+    B = prod_k max(M_k, 1) N^blocks (2d)^(m+1) bounds it: the exact sum runs
+    on int64 if B < 2^63, else on Python ints.  The scales divide out last.
     """
     m = len(lifts)
     nblocks = len(constraint.blocks)
@@ -890,19 +895,22 @@ def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseEle
         for k in range(1, m + 1)
     ]
     spec = ",".join(terms) + "->" + chain[0] + chain[m]
-    tensors = [tensor for tensor, _ in lifts]
+    tensors = [tensor for tensor, _, _ in lifts]
     key = (spec, tuple(tensor.shape for tensor in tensors))
     path = _EINSUM_PATHS.get(key)
     if path is None:
         path = _EINSUM_PATHS[key] = np.einsum_path(
             spec, *tensors, optimize=("greedy", _EINSUM_MEMORY)
         )[0]
+    d, n = algebra.dim, tensors[0].shape[0]
+    bound = math.prod(max(b, 1) for _, _, b in lifts) * n**nblocks * (2 * d) ** (m + 1)
+    if bound >= 2**63:
+        tensors = [tensor.astype(object) for tensor in tensors]
     total = np.einsum(spec, *tensors, optimize=path)
-    denominator = math.prod(scale for _, scale in lifts)
-    d = algebra.dim
+    denominator = math.prod(scale for _, scale, _ in lifts)
     return algebra.from_components({
         (a, b): GaussianRational(
-            Fraction(total[a, b], denominator), Fraction(total[d + a, b], denominator)
+            Fraction(int(total[a, b]), denominator), Fraction(int(total[d + a, b]), denominator)
         )
         for a in range(d)
         for b in range(d)

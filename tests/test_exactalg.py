@@ -122,6 +122,27 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             f.evaluate(1)
 
+    def test_evaluate_on_ints_matches_the_fraction_route(self):
+        # an int argument takes Horner in int arithmetic; a Fraction the
+        # Fraction route: same values, and the same error at a pole
+        rng = random.Random(20261)
+        poles = 0
+        for _ in range(200):
+            f = RF(_random_poly(rng), (0,) * rng.randint(0, 2) + _random_poly(rng))
+            for n in range(2, 17):
+                try:
+                    expected = f.evaluate(Fraction(n))
+                except ZeroDivisionError as exc:
+                    with pytest.raises(ZeroDivisionError) as got:
+                        f.evaluate(n)
+                    assert str(got.value) == str(exc) == f"denominator vanishes at n = {n}"
+                    poles += 1
+                    continue
+                value = f.evaluate(n)
+                assert type(value) is Fraction
+                assert value == expected
+        assert poles
+
     def test_text_roundtrip(self):
         f = RF((1, 0, 1), (0, -1, 0, 1))
         assert str(f) == "(n^2 + 1)/(n^3 - n)"

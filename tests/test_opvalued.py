@@ -484,6 +484,37 @@ def rand_sparse_bmatrix(rng, alg, size):
     )
 
 
+def big_bmatrix(rng, alg, size, magnitude):
+    """A random matrix over a dense algebra whose entries have integer real
+    and imaginary parts of absolute value between magnitude/2 and magnitude."""
+
+    def part():
+        return rng.choice((-1, 1)) * rng.randint(magnitude // 2, magnitude)
+
+    def cell():
+        return alg.element([
+            [GaussianRational(Fraction(part()), Fraction(part())) for _ in range(alg.dim)]
+            for _ in range(alg.dim)
+        ])
+
+    return BMatrix(alg, [[cell() for _ in range(size)] for _ in range(size)])
+
+
+def einsum_dtypes(monkeypatch) -> list:
+    """The set of operand dtypes of each np.einsum call from now on."""
+    seen, contract = [], np.einsum
+
+    def spy(spec, *operands, **kwargs):
+        seen.append({op.dtype for op in operands})
+        return contract(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return seen
+
+
+INT64, OBJECT = np.dtype(np.int64), np.dtype(object)
+
+
 def slot_partitions(word: MixedWord):
     weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
     return [_slot_partition(word, p, q) for p, q in weights]
@@ -569,6 +600,51 @@ class TestTensorSum:
 
         monkeypatch.setattr(opvalued, refused, refuse)
         assert constrained_sum(constraint, args) == expected
+
+    def test_int64_guard_on_either_side_of_the_bound(self, monkeypatch):
+        # entries near 2^17 and 2^18 put B = prod_k max(M_k, 1) N^blocks
+        # (2d)^(m+1) below 2^63 for some slot partitions and above it for others
+        seen = einsum_dtypes(monkeypatch)
+        rng = random.Random(44)
+        n, m = 2, 3
+        routes = set()
+        for _ in range(4):
+            d = rng.choice((1, 2))
+            alg = DenseAlgebra(d)
+            args = [big_bmatrix(rng, alg, n, 2 ** rng.choice((17, 18))) for _ in range(m)]
+            entries = math.prod(max(bound, 1) for _, _, bound in (a.lift() for a in args))
+            for constraint in enumerate_family("all", 2 * m):
+                bound = entries * n ** len(constraint.blocks) * (2 * d) ** (m + 1)
+                route = INT64 if bound < 2**63 else OBJECT
+                seen.clear()
+                assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
+                assert seen == [{route}]
+                routes.add(route)
+        assert routes == {INT64, OBJECT}
+
+    def test_object_route_for_large_entries(self, monkeypatch):
+        # entries near 2^40 fit int64 one by one, but products of two do not;
+        # an entry of 2^70 does not fit at all and lifts to Python ints
+        seen = einsum_dtypes(monkeypatch)
+        rng = random.Random(45)
+        alg = DenseAlgebra(2)
+        args = [big_bmatrix(rng, alg, 2, 2**40) for _ in range(2)]
+        huge = big_bmatrix(rng, alg, 2, 2**70)
+        assert [a.lift()[0].dtype for a in args + [huge]] == [INT64, INT64, OBJECT]
+        for factors in (args, [args[0], huge]):
+            for constraint in enumerate_family("all", 4):
+                seen.clear()
+                assert constrained_sum(constraint, factors) == _scan_sum(constraint, factors)
+                assert seen == [{OBJECT}]
+
+    def test_shipped_dense_scenarios_run_on_int64(self, monkeypatch):
+        # the fast route must not go dead: every contraction of both dense
+        # reports at N = 2..8 runs on int64
+        seen = einsum_dtypes(monkeypatch)
+        for name in ("dense_circulant", "diagonal_pattern"):
+            load_scenario(SCENARIO_DIR / f"{name}.json").report(n_range=range(2, 9))
+        assert seen
+        assert all(dtypes == {INT64} for dtypes in seen)
 
     def test_each_contraction_path_is_searched_once(self, monkeypatch):
         # the sums of lhs_exact and the limit formula repeat their (spec,
