@@ -280,15 +280,11 @@ def lhs_exact(word: MixedWord, n: int | None = None):
     """
     if n is None:
         return lhs_function(word)
-    _require_size(word, n)
-    return _evaluate_terms(_lhs_terms(word), word) * Fraction(1, n)
-
-
-def _require_size(word: MixedWord, n: int) -> None:
     if n < 2:
         raise ValueError("evaluation requires N >= 2")
     if word.size != n:
         raise ValueError(f"word is built at size {word.size}, not {n}")
+    return _evaluate_terms(_lhs_terms(word), word) * Fraction(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +301,10 @@ def _require_limit_word(word: MixedWord) -> None:
 
 
 def _limit_terms(word: MixedWord):
-    """Yield limit_formula's (constraint, weight) terms once _require_limit_word
-    admits the word: for each pair sigma <= pi of admissible noncrossing
-    partitions whose fattenings respect the label kernel, fatten(tau) and
-    mu(sigma, pi) N^-|tau| with tau = sigma interleaved with the Kreweras
-    complement of pi, as in functional_e(tau)."""
-    _require_limit_word(word)
+    """Yield limit_formula's (constraint, weight) terms: for each pair sigma
+    <= pi of admissible noncrossing partitions whose fattenings respect the
+    label kernel, fatten(tau) and mu(sigma, pi) N^-|tau| with tau = sigma
+    interleaved with the Kreweras complement of pi, as in functional_e(tau)."""
     m2 = len(word.letters)
     eps = SignPattern(word.signs())
     ker_l = kernel(word.labels())
@@ -330,6 +324,7 @@ def _limit_terms(word: MixedWord):
 def limit_formula(word: MixedWord):
     """Limit of lhs_exact as N grows: a Mobius sum of nested expectations
     (_limit_terms), evaluated at the word's size."""
+    _require_limit_word(word)
     return _evaluate_terms(_limit_terms(word), word)
 
 
@@ -409,47 +404,21 @@ def _n2_bounded(rows) -> bool:
     return tail <= N2_GROWTH_FACTOR * head
 
 
-def _row_terms(word: MixedWord) -> tuple[list, set]:
-    """Each constraint of _lhs_terms(word) and _limit_terms(word.as_quantum())
-    with its (lhs weight / N, limit weight) pair, and 1/den for each lhs
-    weight's denominator: a sum of weights may cancel a pole of lhs_exact."""
-    lhs = _lhs_terms(word)
-    zero = RationalFunction.zero()
-    merged: dict = {}
-    for constraint, w in lhs:
-        merged.setdefault(constraint, [zero, zero])[0] += RationalFunction(w.num, (0,) + w.den)
-    for constraint, w in _limit_terms(word.as_quantum()):
-        merged.setdefault(constraint, [zero, zero])[1] += w
-    return list(merged.items()), {RationalFunction((1,), w.den) for _, w in lhs}
-
-
 def convergence_report(word_at, n_range) -> ConvergenceReport:
     """Evaluate a word family over an N range and diagnose the decay rate.
 
-    word_at is a callable N -> MixedWord; each value, lhs_exact of its word,
-    is compared with limit_formula of the quantum version of the word.  One
-    merged table per word shape (_row_terms) gives both with one constrained
-    sum per constraint.  Rows come in increasing N order.
+    word_at is a callable N -> MixedWord; each value is compared with
+    limit_formula of the quantum version of its word.  Rows come in
+    increasing N order.
     """
     ns = sorted({int(n) for n in n_range})
     if not ns:
         raise ValueError("empty N range")
-    tables: dict = {}
 
     def row(n: int) -> ReportRow:
         word = word_at(n)
-        _require_size(word, n)
-        shape = (word.flavor, word.signs(), word.labels(), word.lead is not None)
-        terms, poles = tables.get(shape) or tables.setdefault(shape, _row_terms(word))
-        for pole in poles:
-            pole.evaluate(n)
-        value = limit = word.algebra.zero()
-        for constraint, (a, b) in terms:
-            an, bn = a.evaluate(n), b.evaluate(n)
-            block_sum = (an or bn) and constrained_sum(constraint, word.all_factors())
-            if block_sum:
-                value, limit = value + block_sum * an, limit + block_sum * bn
-        delta = word.algebra.norm_float(value - limit)
+        value = lhs_exact(word, n)
+        delta = word.algebra.norm_float(value - limit_formula(word.as_quantum()))
         return ReportRow(n, value, delta, float(n * n) * delta)
 
     rows = [row(n) for n in ns]

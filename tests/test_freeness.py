@@ -1,13 +1,11 @@
 import itertools
 import json
 import random
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qhaar import freeness
 from qhaar.exactalg import GaussianRational, InconsistentSamplesError, RationalFunction
 from qhaar.freeness import (
     ConstantPattern,
@@ -344,58 +342,6 @@ class TestConvergenceReport:
         # the classical value sits exactly at the identity at every size
         for r in rep.rows:
             assert r.value == MatrixUnitAlgebra(r.n).one()
-
-    def test_one_constrained_sum_per_constraint_per_row(self, monkeypatch):
-        # each row of dense_circulant has 25 lhs slot partitions, and the 12
-        # limit constraints among them are not summed a second time
-        sizes = []
-        route = freeness.constrained_sum
-
-        def counted(constraint, args):
-            sizes.append(args[0].size)
-            return route(constraint, args)
-
-        monkeypatch.setattr(freeness, "constrained_sum", counted)
-        load_scenario(SCENARIO_DIR / "dense_circulant.json").report(n_range=range(2, 9))
-        assert Counter(sizes) == dict.fromkeys(range(2, 9), 25)
-
-    @pytest.mark.parametrize(
-        "name", ["dense_circulant", "diagonal_pattern", "matrix_unit_flip", "classical_flip"]
-    )
-    def test_rows_match_lhs_exact_and_limit_formula(self, name):
-        # the merged row against its oracles; classical_flip's limit is read
-        # through as_quantum
-        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
-        for row in scn.report().rows:
-            word = scn.word_at(row.n)
-            value = lhs_exact(word, row.n)
-            assert row.value == value
-            assert row.delta == word.algebra.norm_float(value - limit_formula(word.as_quantum()))
-
-    def test_pole_and_size_errors(self):
-        scn = load_scenario(SCENARIO_DIR / "classical_flip.json")
-        with pytest.raises(ZeroDivisionError, match="^denominator vanishes at n = 2$"):
-            scn.report(n_range=range(2, 5))
-        with pytest.raises(ValueError, match="evaluation requires N >= 2"):
-            scn.report(n_range=[1])
-        with pytest.raises(ValueError, match="word is built at size 3, not 4"):
-            convergence_report(lambda n: scn.word_at(3), [4])
-
-    def test_pole_cancelled_by_merging_still_raises(self, monkeypatch):
-        # two lhs terms on one slot partition whose poles at N = 2 cancel in
-        # the merged weight: lhs_exact meets the pole, and so must the row
-        lhs_terms = freeness._lhs_terms
-        pole = RationalFunction((1,), (-2, 1))
-
-        def with_cancelling_pole(word):
-            (constraint, w), *rest = lhs_terms(word)
-            return [(constraint, w + pole), (constraint, w - pole), *rest]
-
-        monkeypatch.setattr(freeness, "_lhs_terms", with_cancelling_pole)
-        scn = load_scenario(SCENARIO_DIR / "matrix_unit_flip.json")
-        for run in (lambda: lhs_exact(scn.word_at(2), 2), lambda: scn.report(n_range=[2, 3])):
-            with pytest.raises(ZeroDivisionError, match="^denominator vanishes at n = 2$"):
-                run()
 
     def test_empty_range_rejected(self):
         scn = load_scenario(SCENARIO_DIR / "matrix_unit_flip.json")
