@@ -27,7 +27,6 @@ from .freeness import (
     lhs_exact,
     limit_formula,
     load_scenario,
-    report_to_csv,
     report_to_json,
     MixedWord,
 )
@@ -49,7 +48,6 @@ from .weingarten import (
     FLAVORS,
     EntryWord,
     build_table,
-    table_to_csv,
     table_to_json,
     word_moment,
 )
@@ -90,7 +88,8 @@ def _require_at_most_max_n(rng) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (parameters, results, verdicts, csv_text)
+# subcommand handlers: each returns (parameters, results, verdicts, csv_rows),
+# the CSV rows header first
 
 
 def _cmd_partitions(args):
@@ -119,12 +118,8 @@ def _cmd_partitions(args):
         size = args.m
     members = [str(p) for p in family.members]
     results = {"kind": kind, "size": size, "count": len(members), "members": members}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "partition"])
-    for idx, text in enumerate(members):
-        writer.writerow([idx, text])
-    return params, results, {}, buf.getvalue()
+    rows = [["index", "partition"], *enumerate(members)]
+    return params, results, {}, rows
 
 
 def _cmd_weingarten(args):
@@ -137,7 +132,11 @@ def _cmd_weingarten(args):
     except ValueError as exc:
         raise UsageError(f"--eps: {exc}") from exc
     params = {"flavor": flavor, "eps": str(eps)}
-    return params, table_to_json(table), {}, table_to_csv(table)
+    rows = [["pi", "sigma", "gram", "wg"]]
+    for a, p in enumerate(table.family):
+        for b, s in enumerate(table.family):
+            rows.append([p, s, table.gram.entry(a, b), table.wg.entry(a, b)])
+    return params, table_to_json(table), {}, rows
 
 
 def _cmd_moment(args):
@@ -163,7 +162,7 @@ def _cmd_moment(args):
     f = word_moment(EntryWord.of(*((1, 1, s) for s in eps.signs)), flavor)
     params = {"flavor": flavor, "eps": str(eps)}
     results = {"flavor": flavor, "pattern": str(eps), "moment": str(f)}
-    values = None
+    rows = [["moment"], [f]]
     if args.n_min is not None or args.n_max is not None:
         values = {}
         rng = _n_range(args, 2, 8)
@@ -174,16 +173,8 @@ def _cmd_moment(args):
             except ZeroDivisionError:
                 values[str(n)] = "undefined"
         results["values"] = values
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if values is None:
-        writer.writerow(["moment"])
-        writer.writerow([str(f)])
-    else:
-        writer.writerow(["n", "value"])
-        for key in sorted(values, key=int):
-            writer.writerow([key, values[key]])
-    return params, results, {}, buf.getvalue()
+        rows = [["n", "value"], *values.items()]
+    return params, results, {}, rows
 
 
 def _cmd_freeness(args):
@@ -200,7 +191,9 @@ def _cmd_freeness(args):
     try:
         report = scenario.report(n_range=n_range)
     except ZeroDivisionError as exc:
-        raise UsageError(f"--n-min: {exc}") from exc
+        # poles lie at the small end of the range, set by --n-min only if given
+        where = "--n-min" if args.n_min is not None else "--scenario: n_range"
+        raise UsageError(f"{where}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"--scenario: {exc}") from exc
     params = {
@@ -216,7 +209,9 @@ def _cmd_freeness(args):
         "n2_bounded": report.n2_bounded,
         "verdict": report.verdict,
     }
-    return params, results, verdicts, report_to_csv(report)
+    rows = [["N", "delta", "N2_delta"]]
+    rows.extend([r.n, r.delta, r.n2_delta] for r in report.rows)
+    return params, results, verdicts, rows
 
 
 def _cmd_counterexample(args):
@@ -249,12 +244,9 @@ def _cmd_counterexample(args):
     }
     params = {"flavor": flavor, "n_min": min(rng), "n_max": max(rng)}
     verdicts = {"within_bound": ok}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "norm", "distance_from_one"])
-    for row in rows:
-        writer.writerow([row["n"], repr(row["norm"]), repr(row["distance_from_one"])])
-    return params, results, verdicts, buf.getvalue()
+    csv_rows = [["N", "norm", "distance_from_one"]]
+    csv_rows.extend([r["n"], r["norm"], r["distance_from_one"]] for r in rows)
+    return params, results, verdicts, csv_rows
 
 
 def _selftest_checks():
@@ -381,12 +373,9 @@ def _cmd_selftest(args):
         all_ok = all_ok and ok
     results = {"checks": checks}
     verdicts = {"all_passed": all_ok}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "ok"])
-    for row in checks:
-        writer.writerow([row["name"], str(row["ok"]).lower()])
-    return {}, results, verdicts, buf.getvalue()
+    rows = [["check", "ok"]]
+    rows.extend([row["name"], str(row["ok"]).lower()] for row in checks)
+    return {}, results, verdicts, rows
 
 
 _HANDLERS = {
@@ -478,9 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, csv_text: str) -> None:
+def _emit(args, payload: dict, csv_rows: list) -> None:
     if args.format == "csv":
-        text = csv_text
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -497,7 +488,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     handler = _HANDLERS[args.command]
     try:
-        params, results, verdicts, csv_text = handler(args)
+        params, results, verdicts, csv_rows = handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -508,7 +499,7 @@ def main(argv=None) -> int:
         "verdicts": verdicts,
     }
     try:
-        _emit(args, payload, csv_text)
+        _emit(args, payload, csv_rows)
     except OSError as exc:
         print(f"error: --out: {exc}", file=sys.stderr)
         return 2

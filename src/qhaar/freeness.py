@@ -16,8 +16,6 @@ the command line and the acceptance checks.
 from __future__ import annotations
 
 import ast
-import csv
-import io
 import json
 import math
 import random
@@ -75,7 +73,6 @@ __all__ = [
     "convergence_report",
     "element_payload",
     "report_to_json",
-    "report_to_csv",
     "CROSSING_PAIRING",
     "crossing_pairing_present",
     "counterexample_word",
@@ -153,16 +150,16 @@ class MixedWord:
                 raise ValueError("all factors must share one size and algebra")
 
     @classmethod
-    def rotated(cls, flavor: str, factors_a, factors_b, label: int = 1) -> "MixedWord":
-        """The word U A(1) U* B(1) U A(2) U* B(2) ... with a single label."""
+    def rotated(cls, flavor: str, factors_a, factors_b) -> "MixedWord":
+        """The word U A(1) U* B(1) U A(2) U* B(2) ... in the unitary of label 1."""
         factors_a = list(factors_a)
         factors_b = list(factors_b)
         if len(factors_a) != len(factors_b) or not factors_a:
             raise ValueError("need equally many A and B factors, at least one each")
         letters = []
         for a, b in zip(factors_a, factors_b):
-            letters.append(UnitaryLetter(label, "1", a))
-            letters.append(UnitaryLetter(label, "*", b))
+            letters.append(UnitaryLetter(1, "1", a))
+            letters.append(UnitaryLetter(1, "*", b))
         return cls(flavor, tuple(letters))
 
     @property
@@ -462,15 +459,6 @@ def report_to_json(report: ConvergenceReport) -> dict:
         "n2_bounded": report.n2_bounded,
         "verdict": report.verdict,
     }
-
-
-def report_to_csv(report: ConvergenceReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "delta", "N2_delta"])
-    for r in report.rows:
-        writer.writerow([r.n, repr(r.delta), repr(r.n2_delta)])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +792,7 @@ def load_scenario(source) -> Scenario:
     )
 
 
-def finite_dim_scenario(d: int, n_range=None, seed: int = 7) -> ConvergenceReport:
+def finite_dim_scenario(d: int, n_range=None) -> ConvergenceReport:
     """Classical-flavor convergence of a random bounded dense-constant family.
 
     Runs the rotated length-3 word of _finite_dim_spec under classical Haar
@@ -812,18 +800,18 @@ def finite_dim_scenario(d: int, n_range=None, seed: int = 7) -> ConvergenceRepor
     coefficient algebra the classical letters already achieve the O(N^-2)
     rate.
     """
-    return _finite_dim_spec(d, n_range, seed).report()
+    return _finite_dim_spec(d, n_range).report()
 
 
-def _finite_dim_spec(d: int, n_range=None, seed: int = 7) -> Scenario:
+def _finite_dim_spec(d: int, n_range=None) -> Scenario:
     """The scenario of finite_dim_scenario: two circulant families with fixed
-    random d x d blocks."""
+    random d x d blocks, drawn from seed 7."""
     if not 1 <= d <= 3:
         raise ValueError("the dense dimension must be 1, 2, or 3")
     # classical 6-letter Weingarten entries have poles at N = 1, 2; starting
     # at 4 also keeps the wrap-around sizes of the circulants in the window
     ns = tuple(n_range) if n_range is not None else tuple(range(4, 10))
-    rng = random.Random(seed)
+    rng = random.Random(7)
 
     def cell():
         rows = [

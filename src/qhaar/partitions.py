@@ -374,12 +374,9 @@ def rotate_left(p: Partition) -> Partition:
 # Enumeration
 
 
-@lru_cache(maxsize=None)
 def _all_partitions(k: int) -> tuple[Partition, ...]:
     if k > MAX_ALL_GROUND:
         raise ValueError(f"full partition enumeration capped at {MAX_ALL_GROUND} points, got {k}")
-    if k == 0:
-        return (Partition(0, ()),)
     out: list[Partition] = []
 
     def rec(pos: int, blocks: list[list[int]]) -> None:
@@ -398,30 +395,36 @@ def _all_partitions(k: int) -> tuple[Partition, ...]:
     return tuple(sorted(out, key=lambda p: p.blocks))
 
 
-@lru_cache(maxsize=None)
-def _nc_partitions(k: int) -> tuple[Partition, ...]:
+def _nc_partitions(k: int, eps: SignPattern | None = None) -> tuple[Partition, ...]:
+    """NC(k); with eps, only the members whose blocks alternate in sign and
+    have even length (nch_eps)."""
     if k > MAX_NC_GROUND:
         raise ValueError(f"noncrossing enumeration capped at {MAX_NC_GROUND} points, got {k}")
-    if k == 0:
-        return (Partition(0, ()),)
+    signs = (None,) + eps.signs if eps is not None else None
     out: list[Partition] = []
 
     # Scan left to right with a stack of open blocks: joining a block below
     # the top permanently closes everything above it, which is exactly the
-    # noncrossing condition.
+    # noncrossing condition.  Under eps a join must switch sign and every
+    # block it closes must be even.
     def rec(pos: int, stack: list[list[int]], closed: list[list[int]]) -> None:
         if pos > k:
-            out.append(Partition(k, tuple(tuple(b) for b in closed + stack)))
+            if signs is None or all(len(b) % 2 == 0 for b in stack):
+                out.append(Partition(k, tuple(tuple(b) for b in closed + stack)))
             return
         for depth in range(len(stack)):
             finished = stack[depth + 1 :]
+            if signs is not None and (
+                signs[stack[depth][-1]] == signs[pos] or any(len(b) % 2 for b in finished)
+            ):
+                continue
             kept = stack[: depth + 1]
             kept[depth] = kept[depth] + [pos]
             rec(pos + 1, kept, closed + finished)
         rec(pos + 1, stack + [[pos]], closed)
 
     rec(1, [], [])
-    assert len(out) == catalan(k)
+    assert eps is not None or len(out) == catalan(k)
     return tuple(sorted(out, key=lambda p: p.blocks))
 
 
@@ -454,32 +457,6 @@ def _pairings(k: int) -> tuple[Partition, ...]:
 def _eps_pair_ok(eps: SignPattern, pair: tuple[int, int]) -> bool:
     a, b = pair
     return eps.signs[a - 1] != eps.signs[b - 1]
-
-
-def _nch(eps: SignPattern) -> tuple[Partition, ...]:
-    """The scan of _nc_partitions, pruned to sign-alternating blocks of even length."""
-    k = len(eps)
-    if k > MAX_NC_GROUND:
-        raise ValueError(f"noncrossing enumeration capped at {MAX_NC_GROUND} points, got {k}")
-    signs = (None,) + eps.signs
-    out: list[Partition] = []
-
-    def rec(pos: int, stack: list[list[int]], closed: list[list[int]]) -> None:
-        if pos > k:
-            if all(len(b) % 2 == 0 for b in stack):
-                out.append(Partition(k, tuple(tuple(b) for b in closed + stack)))
-            return
-        for depth in range(len(stack)):
-            finished = stack[depth + 1 :]
-            if signs[stack[depth][-1]] == signs[pos] or any(len(b) % 2 for b in finished):
-                continue
-            kept = stack[: depth + 1]
-            kept[depth] = kept[depth] + [pos]
-            rec(pos + 1, kept, closed + finished)
-        rec(pos + 1, stack + [[pos]], closed)
-
-    rec(1, [], [])
-    return tuple(sorted(out, key=lambda p: p.blocks))
 
 
 FAMILY_KINDS = ("all", "nc", "nc2", "nc2_eps", "nc_eps", "nch_eps", "p2_eps")
@@ -536,11 +513,10 @@ def _family_members(kind: str, k: int, eps: SignPattern | None) -> tuple[Partiti
     if kind == "p2_eps":
         return tuple(p for p in _pairings(k) if all(_eps_pair_ok(eps, b) for b in p.blocks))
     if kind == "nch_eps":
-        return _nch(eps)
+        return _nc_partitions(k, eps)
     # nc_eps
-    return tuple(
-        p for p in _nc_partitions(k) if all(_eps_pair_ok(eps, b) for b in fatten(p).blocks)
-    )
+    nc = _family_members("nc", k, None)
+    return tuple(p for p in nc if all(_eps_pair_ok(eps, b) for b in fatten(p).blocks))
 
 
 # ---------------------------------------------------------------------------

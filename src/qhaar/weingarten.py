@@ -16,8 +16,6 @@ the crossing-inclusive pairing family.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -48,7 +46,6 @@ __all__ = [
     "adjoint_reduce",
     "west_expansion",
     "table_to_json",
-    "table_to_csv",
 ]
 
 MULTI_LABEL_CAP = 6
@@ -414,16 +411,3 @@ def table_to_json(table: WeingartenTable) -> dict:
         "gram": [[str(table.gram.entry(a, b)) for b in range(size)] for a in range(size)],
         "wg": [[str(table.wg.entry(a, b)) for b in range(size)] for a in range(size)],
     }
-
-
-def table_to_csv(table: WeingartenTable) -> str:
-    """CSV text with one row per ordered pair of family members."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pi", "sigma", "gram", "wg"])
-    for a, p in enumerate(table.family):
-        for b, s in enumerate(table.family):
-            writer.writerow(
-                [str(p), str(s), str(table.gram.entry(a, b)), str(table.wg.entry(a, b))]
-            )
-    return buf.getvalue()

@@ -116,6 +116,29 @@ def pinned_flavor_runs():
     yield ["freeness", "--scenario", "classical-two-labels.json"]
 
 
+# SHA-256 of stdout of each subcommand's CSV form; the freeness and quantum
+# counterexample rows carry repr() of float norms, so these pin those too
+PINNED_CSV = {
+    "selftest": "306ef7db4877ce49e9d7089021ed63e34d5fb90f9701ecd1d0ff68466ba28735",
+    "partitions --m 4": "5bff352405fd98bae05223545b839f62872bd8ab65e64a83f7c24f2828db2dca",
+    "partitions --eps 1*1*1* --flavor classical":
+        "dd0f05578d7b7a5301bb116e1d6f4a8896778c3195bfe214b645377d79d123bc",
+    "weingarten --eps 1*1*1*1*":
+        "f69a22431f1d271ef8dd2fc6f095d1333621e9c5b13274c3052d0435045157fd",
+    "moment --m 2": "9a380263d627ee33ca87d4d7d011ee70c6d8ed47c1dbaa4d93c7f0f9a61919a4",
+    "moment --m 2 --n-min 2 --n-max 9":
+        "e2913ad3746e414148a0e2587384047713476dc98e08d3e91e991b6488c603e9",
+    "counterexample --n-min 4 --n-max 6":
+        "93bd190285dba3f01e040d4262ecf9bd897de136fbb5161d54ea1604a2a0b113",
+    "counterexample --flavor classical --n-min 4 --n-max 6":
+        "1d4835b157d05420c72b32e1331f90da71508ba34106650d755878696018372f",
+    "freeness --scenario matrix_unit_flip":
+        "8c45dc23b5740acad7f9cfd8cf0be426f6e45bea57ca4cf430931fa6312bc0ef",
+    "freeness --scenario dense_circulant":
+        "29e57424ececd00463fd4a547945077d866a22119a3a3b00d3e617f272f18045",
+}
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -170,6 +193,17 @@ class TestEnvelope:
             code, out, err = run(capsys, argv)
             digest.update(json.dumps([argv, code, out, err]).encode())
         assert digest.hexdigest() == PINNED_FLAVOR_RUNS
+
+    def test_csv_output_is_pinned(self, capsys):
+        digests = {}
+        for command in PINNED_CSV:
+            argv = command.split() + ["--format", "csv"]
+            if argv[0] == "freeness":
+                argv[2] = str(SCENARIO_DIR / f"{argv[2]}.json")
+            code, out, err = run(capsys, argv)
+            assert err == "", command
+            digests[command] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == PINNED_CSV
 
 
 class TestPartitions:
@@ -235,7 +269,11 @@ class TestWeingarten:
             ["weingarten", "--eps", "1*1*", "--format", "csv"],
         )
         assert code == 0
-        assert out.splitlines()[0] == "pi,sigma,gram,wg"
+        lines = out.splitlines()
+        assert lines[0] == "pi,sigma,gram,wg"
+        # one row per ordered pair of the two noncrossing pairings
+        assert len(lines) == 1 + 2 ** 2
+        assert lines[1] == '"{{1,2},{3,4}}","{{1,2},{3,4}}",n^2,1/(n^2 - 1)'
 
     def test_missing_eps(self, capsys):
         code, out, err = run(capsys, ["weingarten"])
@@ -370,6 +408,22 @@ class TestFreeness:
         assert code == 0
         assert out.splitlines()[0] == "N,delta,N2_delta"
 
+    def test_csv_has_one_line_per_size(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "freeness",
+                "--scenario", str(SCENARIO_DIR / "matrix_unit_flip.json"),
+                "--n-min", "2",
+                "--n-max", "4",
+                "--format", "csv",
+            ],
+        )
+        assert code == 1  # three sizes are too few for a verdict
+        lines = out.splitlines()
+        assert lines[0] == "N,delta,N2_delta"
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "3", "4"]
+
     def test_missing_scenario_flag(self, capsys):
         code, out, err = run(capsys, ["freeness"])
         assert code == 2
@@ -437,6 +491,20 @@ class TestFreeness:
         assert code == 2
         assert out == ""
         assert err == "error: --n-min: denominator vanishes at n = 2\n"
+
+    @pytest.mark.parametrize("name", ["classical_flip", "dense_circulant"])
+    @pytest.mark.parametrize("n_max", [None, "5"])
+    def test_pole_in_scenario_range_blames_n_range(self, capsys, tmp_path, name, n_max):
+        # without --n-min the smallest size comes from the file's own n_range
+        scenario = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        scenario.update(flavor="classical", n_range=[2, 6])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["freeness", "--scenario", str(path)]
+        code, out, err = run(capsys, argv + (["--n-max", n_max] if n_max else []))
+        assert code == 2
+        assert out == ""
+        assert err == "error: --scenario: n_range: denominator vanishes at n = 2\n"
 
     def test_n_max_over_cap(self, capsys):
         code, out, err = run(

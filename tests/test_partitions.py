@@ -111,8 +111,12 @@ def test_join_examples():
 def test_enumerate_counts():
     assert len(enumerate_family("all", 1)) == 1
     assert enumerate_family("all", 1).members == (P("{{1}}"),)
-    assert [len(enumerate_family("nc", k)) for k in range(1, 7)] == [1, 2, 5, 14, 42, 132]
-    assert [len(enumerate_family("all", k)) for k in range(1, 6)] == [1, 2, 5, 15, 52]
+    # k = 0 counts the empty partition, which the scans yield as any other member
+    assert [len(enumerate_family("nc", k)) for k in range(9)] == [
+        1, 1, 2, 5, 14, 42, 132, 429, 1430
+    ]
+    assert enumerate_family("nc", 0).members == (Partition(0, ()),)
+    assert [len(enumerate_family("all", k)) for k in range(6)] == [1, 1, 2, 5, 15, 52]
     assert len(enumerate_family("nc2", 6)) == catalan(3)
     assert len(enumerate_family("nc2", 8)) == catalan(4)
 

@@ -22,7 +22,6 @@ from qhaar.weingarten import (
     Letter,
     adjoint_reduce,
     build_table,
-    table_to_csv,
     table_to_json,
     west_expansion,
     word_moment,
@@ -495,12 +494,6 @@ class TestEmission:
             for b in range(2):
                 assert RF.from_text(data["wg"][a][b]) == t.wg.entry(a, b)
                 assert RF.from_text(data["gram"][a][b]) == t.gram.entry(a, b)
-
-    def test_csv_shape(self):
-        t = build_table("quantum", ALT4)
-        lines = table_to_csv(t).strip().split("\n")
-        assert lines[0] == "pi,sigma,gram,wg"
-        assert len(lines) == 1 + len(t.family) ** 2
 
 
 def test_letter_validation():
