@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qhaar import freeness, weingarten
+from qhaar.cli import main
 from qhaar.exactalg import FieldMatrix, RationalFunction, laurent_at_infinity
 from qhaar.partitions import (
     Partition,
@@ -494,6 +495,14 @@ class TestEmission:
             for b in range(2):
                 assert RF.from_text(data["wg"][a][b]) == t.wg.entry(a, b)
                 assert RF.from_text(data["gram"][a][b]) == t.gram.entry(a, b)
+
+    def test_csv_shape(self, capsys):
+        # the CSV form of a table is written by the CLI
+        t = build_table("quantum", ALT4)
+        assert main(["weingarten", "--eps", "1*1*", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "pi,sigma,gram,wg"
+        assert len(lines) == 1 + len(t.family) ** 2
 
 
 def test_letter_validation():
