@@ -234,10 +234,11 @@ def _slot_partition(word: MixedWord, p: Partition, q: Partition) -> Partition:
     if has_lead:
         # the trace index also appears as the lead's row slot
         _union(parent, 1, off + 2 * m2)
-    groups: dict[int, list[int]] = {}
-    for slot in range(1, nslots + 1):
-        groups.setdefault(_find(parent, slot), []).append(slot)
-    return Partition(nslots, tuple(tuple(g) for g in groups.values()))
+    return kernel(_find(parent, slot) for slot in range(1, nslots + 1))
+
+
+# the slot partition of a word without unitary letters: tr of its lead
+_LEAD_ONLY = Partition.full(2)
 
 
 def _lhs_terms(word: MixedWord) -> list:
@@ -246,7 +247,7 @@ def _lhs_terms(word: MixedWord) -> list:
     Weingarten weight.  A word without unitary letters is the expectation of
     its lead: the slot partition {{1,2}}, weight 1."""
     if not word.letters:
-        return [(Partition(2, ((1, 2),)), RationalFunction.one())]
+        return [(_LEAD_ONLY, RationalFunction.one())]
     weights = _pair_weights(word.flavor, SignPattern(word.signs()), word.labels())
     return [(_slot_partition(word, p, q), w) for (p, q), w in weights.items() if w]
 
@@ -730,7 +731,7 @@ def load_scenario(source) -> Scenario:
     dim = None
     if kind == "dense":
         dim = alg.get("dim")
-        if not isinstance(dim, int) or not 1 <= dim <= 4:
+        if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 4:
             raise ValueError("dense scenarios need an integer dim between 1 and 4")
     fams = data.get("families")
     if not isinstance(fams, dict) or not fams:
@@ -749,7 +750,7 @@ def load_scenario(source) -> Scenario:
         label = item.get("label", 1)
         sign = item.get("sign")
         factor = item.get("factor")
-        if not isinstance(label, int) or label < 1:
+        if not isinstance(label, int) or isinstance(label, bool) or label < 1:
             raise ValueError("letter labels are integers starting at 1")
         if sign not in ("1", "*"):
             raise ValueError("letter signs must be '1' or '*'")
@@ -792,7 +793,7 @@ def load_scenario(source) -> Scenario:
     )
 
 
-def finite_dim_scenario(d: int, n_range=None) -> ConvergenceReport:
+def finite_dim_scenario(d: int) -> ConvergenceReport:
     """Classical-flavor convergence of a random bounded dense-constant family.
 
     Runs the rotated length-3 word of _finite_dim_spec under classical Haar
@@ -800,17 +801,14 @@ def finite_dim_scenario(d: int, n_range=None) -> ConvergenceReport:
     coefficient algebra the classical letters already achieve the O(N^-2)
     rate.
     """
-    return _finite_dim_spec(d, n_range).report()
+    return _finite_dim_spec(d).report()
 
 
-def _finite_dim_spec(d: int, n_range=None) -> Scenario:
+def _finite_dim_spec(d: int) -> Scenario:
     """The scenario of finite_dim_scenario: two circulant families with fixed
     random d x d blocks, drawn from seed 7."""
     if not 1 <= d <= 3:
         raise ValueError("the dense dimension must be 1, 2, or 3")
-    # classical 6-letter Weingarten entries have poles at N = 1, 2; starting
-    # at 4 also keeps the wrap-around sizes of the circulants in the window
-    ns = tuple(n_range) if n_range is not None else tuple(range(4, 10))
     rng = random.Random(7)
 
     def cell():
@@ -845,7 +843,10 @@ def _finite_dim_spec(d: int, n_range=None) -> Scenario:
         dim=d,
         families=families,
         word=word,
-        n_range=ns,
+        # classical 6-letter Weingarten entries have poles at N = 1, 2;
+        # starting at 4 also keeps the wrap-around sizes of the circulants
+        # in the window
+        n_range=tuple(range(4, 10)),
     )
 
 

@@ -684,7 +684,8 @@ class DiagramMatrix(BMatrix):
         terms: dict[tuple, GaussianRational] = {}
         for kap, x in comps.items():
             for pi, mu in _coarsenings(kap):
-                key = (Partition(6, ((1, 2),) + tuple(tuple(p + 2 for p in b) for b in pi.blocks)), 0)
+                idx = pi.block_index()
+                key = (kernel((-1, -1) + tuple(idx[leg] for leg in range(1, 5))), 0)
                 terms[key] = terms.get(key, _ZERO) + _as_gauss(x) * mu
         return cls(algebra, terms)
 
@@ -950,12 +951,12 @@ def _diagram_terms(a: BMatrix) -> dict | None:
 @lru_cache(maxsize=None)
 def _coarsenings(kap: Partition) -> tuple:
     """Every pi >= kap, with the Moebius value mu(kap, pi) of the full lattice."""
+    # element x of pi carries the block of grouping holding x's block of kap
+    idx = kap.block_index()
     out = []
     for grouping in enumerate_family("all", len(kap.blocks)):
-        pi = Partition(
-            kap.size,
-            tuple(sum((kap.blocks[t - 1] for t in g), ()) for g in grouping.blocks),
-        )
+        g = grouping.block_index()
+        pi = kernel(g[idx[x] + 1] for x in range(1, kap.size + 1))
         out.append((pi, mobius_full(kap, pi)))
     return tuple(out)
 

@@ -57,7 +57,11 @@ class Partition:
     """A partition of {1..size} in canonical form.
 
     Blocks are stored sorted internally and ordered by their minima, so two
-    partitions are equal iff they are structurally identical.
+    partitions are equal iff they are structurally identical.  Every
+    partition the package derives from others is a kernel (see kernel),
+    built in canonical form without validation; this constructor sorts and
+    validates blocks that come from outside: from_text, user code and
+    module-level literals.
 
     >>> str(Partition(6, ((5, 4, 1), (3, 2), (6,))))
     '{{1,4,5},{2,3},{6}}'
@@ -88,12 +92,12 @@ class Partition:
     @staticmethod
     def singletons(k: int) -> "Partition":
         """The minimal partition 0_k."""
-        return Partition(k, tuple((i,) for i in range(1, k + 1)))
+        return kernel(range(k))
 
     @staticmethod
     def full(k: int) -> "Partition":
         """The maximal partition 1_k."""
-        return Partition(k, (tuple(range(1, k + 1)),) if k else ())
+        return kernel((0,) * k)
 
     @staticmethod
     def from_text(text: str) -> "Partition":
@@ -189,14 +193,21 @@ class SignPattern:
 def kernel(values) -> Partition:
     """ker of an index tuple: positions carrying equal values share a block.
 
+    The one constructor of derived partitions: blocks come out in order of
+    first occurrence, each increasing, which is the canonical form, so the
+    result skips Partition's validation.
+
     >>> str(kernel((4, 7, 4)))
     '{{1,3},{2}}'
     """
-    vals = tuple(values)
     groups: dict[object, list[int]] = {}
-    for pos, v in enumerate(vals, start=1):
-        groups.setdefault(v, []).append(pos)
-    return Partition(len(vals), tuple(tuple(g) for g in groups.values()))
+    size = 0
+    for size, v in enumerate(values, start=1):
+        groups.setdefault(v, []).append(size)
+    out = object.__new__(Partition)
+    object.__setattr__(out, "size", size)
+    object.__setattr__(out, "blocks", tuple(map(tuple, groups.values())))
+    return out
 
 
 def restrict(p: Partition, subset) -> Partition:
@@ -208,14 +219,10 @@ def restrict(p: Partition, subset) -> Partition:
     sub = tuple(subset)
     if any(a >= b for a, b in zip(sub, sub[1:])):
         raise ValueError("subset must be strictly increasing")
-    pos = {x: t + 1 for t, x in enumerate(sub)}
-    chosen = set(sub)
-    blocks = []
-    for block in p.blocks:
-        part = tuple(pos[x] for x in block if x in chosen)
-        if part:
-            blocks.append(part)
-    return Partition(len(sub), tuple(blocks))
+    if sub and not (1 <= sub[0] and sub[-1] <= p.size):
+        raise ValueError(f"subset leaves the ground set 1..{p.size}")
+    idx = p.block_index()
+    return kernel(idx[x] for x in sub)
 
 
 def _find(parent: list, x: int) -> int:
@@ -244,20 +251,18 @@ def join_full(p: Partition, q: Partition) -> Partition:
         for block in part.blocks:
             for a, b in zip(block, block[1:]):
                 _union(parent, a, b)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, p.size + 1):
-        groups.setdefault(_find(parent, x), []).append(x)
-    return Partition(p.size, tuple(tuple(g) for g in groups.values()))
+    return kernel(_find(parent, x) for x in range(1, p.size + 1))
 
 
-def _as_permutation(p: Partition) -> dict[int, int]:
-    """Each block as an increasing cycle: x maps to the next block element."""
-    perm: dict[int, int] = {}
+def _inverse_permutation(p: Partition) -> dict[int, int]:
+    """sigma_p^{-1}, sigma_p taking each block as an increasing cycle: x maps
+    to the block element before it, and the least to the greatest."""
+    inv: dict[int, int] = {}
     for block in p.blocks:
         for a, b in zip(block, block[1:]):
-            perm[a] = b
-        perm[block[-1]] = block[0]
-    return perm
+            inv[b] = a
+        inv[block[0]] = block[-1]
+    return inv
 
 
 def kreweras(p: Partition) -> Partition:
@@ -274,24 +279,15 @@ def kreweras(p: Partition) -> Partition:
     if not p.is_noncrossing():
         raise ValueError("kreweras complement requires a noncrossing partition")
     m = p.size
-    if m == 0:
-        return p
-    perm = _as_permutation(p)
-    inv = {v: k for k, v in perm.items()}
-    seen: set[int] = set()
-    blocks = []
+    inv = _inverse_permutation(p)
+    # each element is labelled by the first element of its cycle
+    cycle: dict[int, int] = {}
     for start in range(1, m + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = inv[start % m + 1]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
+        x = start
+        while x not in cycle:
+            cycle[x] = start
             x = inv[x % m + 1]
-        blocks.append(tuple(cyc))
-    out = Partition(m, tuple(blocks))
+    out = kernel(cycle[x] for x in range(1, m + 1))
     if not out.is_noncrossing():
         raise AssertionError(f"kreweras produced a crossing partition for {p}")
     return out
@@ -322,12 +318,10 @@ def fatten_extended(p: Partition) -> Partition:
     Used by the norm-bound machinery, where constraints built this way from
     crossing partitions still make sense; fatten itself insists on NC input.
     """
-    pairs = []
-    for block in p.blocks:
-        pairs.append((2 * block[0] - 1, 2 * block[-1]))
-        for a, b in zip(block, block[1:]):
-            pairs.append((2 * a, 2 * b - 1))
-    return Partition(2 * p.size, tuple(pairs))
+    # point 2y carries y, and point 2y - 1 the element before y in its block
+    # (cyclically), so each pair is labelled by its even point's element
+    prev = _inverse_permutation(p)
+    return kernel(v for y in range(1, p.size + 1) for v in (prev[y], y))
 
 
 def unfatten(q: Partition) -> Partition:
@@ -337,14 +331,9 @@ def unfatten(q: Partition) -> Partition:
     if not q.is_pairing() or not q.is_noncrossing():
         raise ValueError("unfatten requires a noncrossing pair partition")
     m = q.size // 2
-    base = Partition(2 * m, tuple((2 * i - 1, 2 * i) for i in range(1, m + 1)))
-    joined = join_full(q, base)
-    blocks = []
-    for block in joined.blocks:
-        if len(block) % 2 != 0:
-            raise ValueError(f"{q} is not the fattening of any partition")
-        blocks.append(tuple(sorted({(x + 1) // 2 for x in block})))
-    out = Partition(m, tuple(blocks))
+    # point i of the result is the pair {2i - 1, 2i} of q's ground set
+    idx = join_full(q, kernel(x // 2 for x in range(2 * m))).block_index()
+    out = kernel(idx[2 * i] for i in range(1, m + 1))
     if fatten(out) != q:
         raise ValueError(f"{q} is not the fattening of any partition")
     return out
@@ -354,9 +343,8 @@ def interleave(p: Partition, q: Partition) -> Partition:
     """p on the odd points, q on the even points of {1..2m} (p wr q)."""
     if p.size != q.size:
         raise ValueError("interleave requires equal ground sizes")
-    blocks = [tuple(2 * x - 1 for x in b) for b in p.blocks]
-    blocks.extend(tuple(2 * x for x in b) for b in q.blocks)
-    return Partition(2 * p.size, tuple(blocks))
+    ip, iq, off = p.block_index(), q.block_index(), len(p.blocks)
+    return kernel(v for x in range(1, p.size + 1) for v in (ip[x], off + iq[x]))
 
 
 def rotate_left(p: Partition) -> Partition:
@@ -366,8 +354,8 @@ def rotate_left(p: Partition) -> Partition:
     '{{1,3},{2}}'
     """
     m = p.size
-    shift = lambda x: m if x == 1 else x - 1
-    return Partition(m, tuple(tuple(shift(x) for x in b) for b in p.blocks))
+    idx = p.block_index()
+    return kernel(idx[x % m + 1] for x in range(1, m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +367,18 @@ def _all_partitions(k: int) -> tuple[Partition, ...]:
         raise ValueError(f"full partition enumeration capped at {MAX_ALL_GROUND} points, got {k}")
     out: list[Partition] = []
 
-    def rec(pos: int, blocks: list[list[int]]) -> None:
-        if pos > k:
-            out.append(Partition(k, tuple(tuple(b) for b in blocks)))
+    # restricted growth: each point joins one of the blocks opened before it
+    # or opens the next one
+    def rec(labels: list[int], nblocks: int) -> None:
+        if len(labels) == k:
+            out.append(kernel(labels))
             return
-        for b in blocks:
-            b.append(pos)
-            rec(pos + 1, blocks)
-            b.pop()
-        blocks.append([pos])
-        rec(pos + 1, blocks)
-        blocks.pop()
+        for b in range(nblocks + 1):
+            labels.append(b)
+            rec(labels, max(nblocks, b + 1))
+            labels.pop()
 
-    rec(1, [])
+    rec([], 0)
     return tuple(sorted(out, key=lambda p: p.blocks))
 
 
@@ -410,7 +397,8 @@ def _nc_partitions(k: int, eps: SignPattern | None = None) -> tuple[Partition, .
     def rec(pos: int, stack: list[list[int]], closed: list[list[int]]) -> None:
         if pos > k:
             if signs is None or all(len(b) % 2 == 0 for b in stack):
-                out.append(Partition(k, tuple(tuple(b) for b in closed + stack)))
+                first = {x: b[0] for b in closed + stack for x in b}
+                out.append(kernel(first[x] for x in range(1, k + 1)))
             return
         for depth in range(len(stack)):
             finished = stack[depth + 1 :]
@@ -434,23 +422,20 @@ def _pairings(k: int) -> tuple[Partition, ...]:
         raise ValueError(f"pairing enumeration capped at {MAX_PAIRING_GROUND} points, got {k}")
     if k % 2 != 0:
         return ()
-    if k == 0:
-        return (Partition(0, ()),)
     out: list[Partition] = []
+    # each point is labelled by the first point of its pair
+    labels = [0] * k
 
-    def rec(remaining: tuple[int, ...], pairs: list[tuple[int, int]]) -> None:
+    def rec(remaining: tuple[int, ...]) -> None:
         if not remaining:
-            out.append(Partition(k, tuple(pairs)))
+            out.append(kernel(labels))
             return
         first = remaining[0]
         for t in range(1, len(remaining)):
-            partner = remaining[t]
-            rest = remaining[1:t] + remaining[t + 1 :]
-            pairs.append((first, partner))
-            rec(rest, pairs)
-            pairs.pop()
+            labels[first - 1] = labels[remaining[t] - 1] = first
+            rec(remaining[1:t] + remaining[t + 1 :])
 
-    rec(tuple(range(1, k + 1)), [])
+    rec(tuple(range(1, k + 1)))
     return tuple(sorted(out, key=lambda p: p.blocks))
 
 
@@ -496,6 +481,8 @@ def enumerate_family(kind: str, k: int, eps: SignPattern | None = None) -> Parti
         expected, rule = (2 * k, "2k") if kind == "nc_eps" else (k, "k")
         if len(eps) != expected:
             raise ValueError(f"{kind} needs len(eps) == {rule}, got {len(eps)} != {expected}")
+    if k < 0:
+        raise ValueError("partition ground size must be nonnegative")
     return PartitionFamily(kind, k, eps, _family_members(kind, k, eps))
 
 

@@ -71,6 +71,10 @@ BAD_SCENARIOS = [
      "family A: the explicit matrix for N = 2 must be 2x2"),
     ("n-range-over-cap", {"n_range": [2, 1000000000]},
      "n_range: sizes are capped at 16, got 1000000000"),
+    # JSON true is a Python bool, which isinstance(.., int) accepts
+    ("dim-true", {"algebra": {"kind": "dense", "dim": True}},
+     "dense scenarios need an integer dim between 1 and 4"),
+    ("label-true", {"word": letters([True, 1])}, "letter labels are integers starting at 1"),
 ]
 
 
@@ -244,6 +248,16 @@ class TestPartitions:
         code, out, err = run(capsys, ["partitions"])
         assert code == 2
         assert "--m" in err
+
+    @pytest.mark.parametrize("m, message", [
+        ("-1", "partition ground size must be nonnegative"),
+        ("13", "noncrossing enumeration capped at 12 points, got 13"),
+    ])
+    def test_m_out_of_range(self, capsys, m, message):
+        code, out, err = run(capsys, ["partitions", "--m", m])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --m: {message}\n"
 
     def test_inconsistent_m_and_eps(self, capsys):
         code, out, err = run(capsys, ["partitions", "--m", "2", "--eps", "1*1*1*"])

@@ -37,7 +37,7 @@ from qhaar.opvalued import (
     expectation,
 )
 from qhaar.oracles import laurent_moments
-from qhaar.partitions import Partition, enumerate_family
+from qhaar.partitions import Partition, enumerate_family, leq
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SIZES = range(2, 8)
@@ -410,3 +410,28 @@ class TestClassCoordinates:
         scenario = load_scenario(SCENARIO_DIR / "matrix_unit_flip.json")
         value = lhs_exact(scenario.word_at(5), 5)
         assert value.classes is not None and value._terms is None
+
+
+def test_coarsenings_are_the_canonical_up_sets():
+    # every pi >= kap once, each in the form the validating constructor builds
+    for k in range(7):
+        full = enumerate_family("all", k).members
+        for kap in full:
+            found = [pi for pi, _ in opvalued._coarsenings(kap)]
+            assert all(pi == Partition(k, pi.blocks) for pi in found)
+            assert len(set(found)) == len(found)
+            assert set(found) == {pi for pi in full if leq(kap, pi)}
+
+
+def test_scalar_diagrams_are_canonical():
+    # the class of kap spreads over the diagrams r = c, (a, b, a', b') ~ pi, pi >= kap
+    alg = MatrixUnitAlgebra(3)
+    full = enumerate_family("all", 4).members
+    for kap in full:
+        keys = DiagramMatrix.scalar(alg, {kap: 1}).terms
+        expected = {
+            (Partition(6, ((1, 2),) + tuple(tuple(x + 2 for x in b) for b in pi.blocks)), 0)
+            for pi in full if leq(kap, pi)
+        }
+        assert set(keys) == expected
+        assert all(pi == Partition(6, pi.blocks) for pi, _ in keys)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qhaar import opvalued, partitions, weingarten
 from qhaar.exactalg import GaussianRational, InconsistentSamplesError, RationalFunction
 from qhaar.freeness import (
     ConstantPattern,
@@ -43,7 +44,7 @@ from qhaar.opvalued import (
 )
 from qhaar.oracles import brute_force_moment, laurent_moments
 from qhaar.partitions import Partition, SignPattern
-from qhaar.weingarten import build_table
+from qhaar.weingarten import FLAVORS, build_table
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -267,6 +268,7 @@ class TestLimitFormulas:
                 w = MixedWord("quantum", tuple(UnitaryLetter(1, s, a) for s in signs))
                 family = build_table("quantum", SignPattern(signs)).family
                 slots = {_slot_partition(w, p, q) for p in family for q in family}
+                assert all(r == Partition(r.size, r.blocks) for r in slots)
                 for constraint, _ in _limit_terms(w):
                     assert constraint in slots
                     checked += 1
@@ -528,7 +530,7 @@ class TestScenarios:
 
 class TestFiniteDim:
     def test_small_run_is_bounded(self):
-        rep = finite_dim_scenario(1, n_range=range(4, 10))
+        rep = finite_dim_scenario(1)
         assert rep.n2_bounded
         assert rep.verdict
 
@@ -769,3 +771,42 @@ class TestInfinitesimal:
             infinitesimal_check(pair, [])
         with pytest.raises(ValueError):
             infinitesimal_check(pair, [("plain", "C")])
+
+
+class TestDerivedPartitions:
+    def test_no_derivation_validates(self, monkeypatch):
+        # every partition built after import is a kernel; only blocks from
+        # outside (from_text, user code, module literals) are validated
+        validated = []
+
+        def refuse(p):
+            validated.append(p.blocks)
+            raise AssertionError(f"validated derived blocks {p.blocks}")
+
+        monkeypatch.setattr(Partition, "__post_init__", refuse)
+        for memo in (partitions._family_members, partitions._pairings, partitions._fatten,
+                     partitions._mobius_to_one, opvalued._compose, opvalued._coarsenings):
+            memo.cache_clear()
+        for cache in (weingarten._TABLE_CACHE, weingarten._INVERSE_CACHE,
+                      weingarten._WEIGHT_CACHE, weingarten._CUMULANT_CACHE):
+            cache.clear()
+        for flavor, record in FLAVORS.items():
+            for length in range(2, record.cap + 1, 2):
+                for signs in itertools.product("1*", repeat=length):
+                    build_table(flavor, SignPattern(signs))
+        for flavor in ("quantum", "classical"):
+            counterexample(4, flavor)
+        load_scenario(SCENARIO_DIR / "dense_circulant.json").report(range(2, 5))
+        rng = random.Random(61)
+        w = MixedWord("quantum", tuple(
+            UnitaryLetter(label, sign, rand_matrix(rng, 2))
+            for label, sign in zip((1, 2, 2, 1), "1*1*")
+        ))
+        lhs_exact(w, 2)
+        assert limit_formula(w) == cumulant_limit(w)
+        pair = InfinitesimalPair.from_scenario(load_scenario(SCENARIO_DIR / "infinitesimal_flip.json"))
+        for letters in ([("plain", "A")], [("rotated", "B")],
+                        [("rotated", "A"), ("plain", "B")],
+                        [("plain", "A"), ("rotated", "B"), ("plain", "A")]):
+            assert infinitesimal_check(pair, letters)
+        assert validated == []

@@ -93,6 +93,9 @@ def test_restrict_example():
     assert restrict(P("{{1,4,5},{2,3}}"), (2, 3, 4)) == P("{{1,2},{3}}")
     with pytest.raises(ValueError):
         restrict(P("{{1,2}}"), (2, 1))
+    for outside in ((0, 1), (2, 3)):
+        with pytest.raises(ValueError, match="ground set"):
+            restrict(P("{{1,2}}"), outside)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +246,7 @@ def test_fattening_bijection():
         assert len(set(images)) == len(nc)
         assert set(images) == set(nc2)
         for p in nc:
+            assert canonical(unfatten(fatten(p)))
             assert unfatten(fatten(p)) == p
 
 
@@ -295,9 +299,10 @@ def test_kreweras_double_is_rotation():
 
 
 def test_kreweras_is_maximal_noncrossing_complement():
-    for m in (1, 2, 3, 4):
+    for m in range(7):
         for p in enumerate_family("nc", m):
             kc = kreweras(p)
+            assert canonical(kc)
             assert interleave(p, kc).is_noncrossing()
             for q in enumerate_family("nc", m):
                 if interleave(p, q).is_noncrossing():
@@ -450,3 +455,116 @@ def test_mobius_full_agrees_on_noncrossing_intervals_of_three():
 def test_mobius_requires_noncrossing():
     with pytest.raises(ValueError):
         mobius(P("{{1,3},{2,4}}"), Partition.full(4))
+
+
+# ---------------------------------------------------------------------------
+# derived partitions are kernels: each derivation returns the canonical form
+# that the validating constructor builds from the same blocks, and meets its
+# defining property, checked by brute force for k <= 6
+
+SMALL = range(7)
+BELL = (1, 1, 2, 5, 15, 52, 203)
+
+
+def canonical(r: Partition) -> bool:
+    return r == Partition(r.size, r.blocks)
+
+
+def same_block(p: Partition):
+    idx = p.block_index()
+    return lambda x, y: idx[x] == idx[y]
+
+
+def point_pairs(k: int):
+    return itertools.combinations(range(1, k + 1), 2)
+
+
+def test_kernel_and_extremes_are_canonical():
+    for k in SMALL:
+        for values in itertools.product(range(3), repeat=k):
+            r = kernel(values)
+            assert canonical(r) and r.size == k
+            same = same_block(r)
+            assert all(same(x, y) == (values[x - 1] == values[y - 1]) for x, y in point_pairs(k))
+        assert canonical(Partition.singletons(k)) and len(Partition.singletons(k)) == k
+        assert canonical(Partition.full(k)) and len(Partition.full(k)) == min(k, 1)
+
+
+def test_enumerated_members_are_canonical():
+    for k in SMALL:
+        full = enumerate_family("all", k).members
+        assert all(canonical(p) for p in full)
+        assert len(set(full)) == len(full) == BELL[k]
+        nc = enumerate_family("nc", k).members
+        assert all(canonical(p) for p in nc)
+        assert set(nc) == {p for p in full if p.is_noncrossing()}
+        nc2 = enumerate_family("nc2", k).members
+        assert set(nc2) == {p for p in nc if p.is_pairing()}
+        if k == 0 or k % 2:
+            continue
+        for eps in all_sign_patterns(k):
+            p2 = enumerate_family("p2_eps", k, eps).members
+            assert all(canonical(p) for p in p2)
+            assert set(p2) == {
+                p for p in full
+                if p.is_pairing() and all(eps.signs[a - 1] != eps.signs[b - 1] for a, b in p.blocks)
+            }
+            assert all(canonical(p) for p in enumerate_family("nch_eps", k, eps))
+
+
+def test_joins_are_canonical_finest_common_coarsenings():
+    for k in SMALL:
+        full = enumerate_family("all", k).members
+        where = {p: i for i, p in enumerate(full)}
+        above = [frozenset(where[r] for r in full if leq(p, r)) for p in full]
+        for i, p in enumerate(full):
+            for j, q in enumerate(full):
+                r = join_full(p, q)
+                assert canonical(r)
+                common = above[i] & above[j]
+                assert where[r] in common and common <= above[where[r]]
+
+
+def test_restrictions_are_canonical_induced_partitions():
+    for k in SMALL:
+        for p in enumerate_family("all", k):
+            same = same_block(p)
+            for size in range(k + 1):
+                for sub in itertools.combinations(range(1, k + 1), size):
+                    r = restrict(p, sub)
+                    assert canonical(r) and r.size == size
+                    rsame = same_block(r)
+                    assert all(
+                        rsame(x, y) == same(sub[x - 1], sub[y - 1]) for x, y in point_pairs(size)
+                    )
+
+
+def test_rotations_and_fattenings_are_canonical():
+    for k in SMALL:
+        for p in enumerate_family("all", k):
+            same = same_block(p)
+            r = rotate_left(p)
+            assert canonical(r)
+            rsame = same_block(r)
+            assert all(rsame(x, y) == same(x % k + 1, y % k + 1) for x, y in point_pairs(k))
+            pairs = []
+            for block in p.blocks:
+                pairs.append((2 * block[0] - 1, 2 * block[-1]))
+                pairs.extend((2 * a, 2 * b - 1) for a, b in zip(block, block[1:]))
+            f = fatten_extended(p)
+            assert canonical(f)
+            assert f == Partition(2 * k, tuple(pairs))
+
+
+def test_interleavings_are_canonical():
+    for k in SMALL:
+        full = enumerate_family("all", k).members
+        for p in full:
+            for q in full:
+                r = interleave(p, q)
+                assert canonical(r)
+                rsame, psame, qsame = same_block(r), same_block(p), same_block(q)
+                for x, y in itertools.product(range(1, k + 1), repeat=2):
+                    assert rsame(2 * x - 1, 2 * y - 1) == psame(x, y)
+                    assert rsame(2 * x, 2 * y) == qsame(x, y)
+                    assert not rsame(2 * x - 1, 2 * y)
