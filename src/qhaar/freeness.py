@@ -1051,45 +1051,33 @@ class InfinitesimalPair:
         exact evaluator expects.
         """
         scenario = self.scenario
+        # unitary signs ("1" for U, "*" for U*) and matrices, alternating
         seq: list = []
         for tok in tokens:
             if tok.kind == "const":
-                seq.append(scenario.constant(tok.pattern, n))
+                mat = scenario.constant(tok.pattern, n)
             elif tok.kind in ("rotated", "plain"):
                 mat = scenario.family_matrix(tok.symbol, n)
                 if tok.center is not None and not tok.center.is_zero():
                     mat = mat - scenario.constant(tok.center, n)
-                if tok.kind == "rotated":
-                    seq.extend([("u", "1"), mat, ("u", "*")])
-                else:
-                    seq.append(mat)
             else:
                 raise ValueError(f"unknown token kind: {tok.kind}")
-        stack: list = []
-        for item in seq:
-            top = stack[-1] if stack else None
-            if isinstance(item, tuple) and isinstance(top, tuple) and top[1] != item[1]:
-                stack.pop()
-            elif top is not None and not isinstance(item, tuple) and not isinstance(top, tuple):
-                stack[-1] = top @ item
+            if tok.kind == "rotated":
+                if seq and seq[-1] == "*":
+                    seq.pop()
+                else:
+                    seq.append("1")
+            if seq and not isinstance(seq[-1], str):
+                seq[-1] = seq[-1] @ mat
             else:
-                stack.append(item)
+                seq.append(mat)
+            if tok.kind == "rotated":
+                seq.append("*")
         ident = scenario.identity(n)
-        lead = None
-        idx = 0
-        if stack and not isinstance(stack[0], tuple):
-            lead = stack[0]
-            idx = 1
-        letters = []
-        while idx < len(stack):
-            sign = stack[idx][1]
-            idx += 1
-            if idx < len(stack) and not isinstance(stack[idx], tuple):
-                factor = stack[idx]
-                idx += 1
-            else:
-                factor = ident
-            letters.append(UnitaryLetter(1, sign, factor))
+        lead = seq.pop(0) if seq and not isinstance(seq[0], str) else None
+        if seq and isinstance(seq[-1], str):
+            seq.append(ident)
+        letters = [UnitaryLetter(1, sign, factor) for sign, factor in zip(seq[::2], seq[1::2])]
         if not letters and lead is None:
             lead = ident
         return MixedWord(self.scenario.flavor, tuple(letters), lead)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactalg import GaussianRational, RationalFunction
+from .exactalg import GaussianRational, RationalFunction, _peval
 from .partitions import Partition, enumerate_family, fatten, kernel, leq, mobius, mobius_full
 from .partitions import _find, _union
 
@@ -475,18 +475,11 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         return _diagram_terms(a)
 
     def fast_sum(self, constraint: Partition, lifts: list) -> MatrixUnitElement:
-        terms, denominator = _loop_sum(constraint, lifts)
+        classes, low, denominator = _loop_sum(constraint, lifts)
         n = self.n
-        # negative powers of N move into the denominator, so every sum is of ints
-        low = min([0, *(power for _, power in terms)])
-        denominator *= n**-low
-        classes: dict[Partition, list] = {}
-        for (kap, power), (re, im) in terms.items():
-            acc = classes.setdefault(kap, [0, 0])
-            acc[0] += re * n ** (power - low)
-            acc[1] += im * n ** (power - low)
+        den = denominator * n**-low
         return self.from_components({
-            kap: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+            kap: GaussianRational(Fraction(_peval(re, n), den), Fraction(_peval(im, n), den))
             for kap, (re, im) in classes.items()
         })
 
@@ -639,10 +632,6 @@ class BMatrix:
         return acc * Fraction(1, self.size)
 
 
-# the identity of M_N(B) on the legs (r, c, a, b, a', b'): r = c, a = b, a' = b'
-_IDENTITY_DIAGRAM = Partition(6, ((1, 2), (3, 4), (5, 6)))
-
-
 class DiagramMatrix(BMatrix):
     """An S_N-invariant matrix over MatrixUnitAlgebra(N) as an element of the
     partition algebra P_3(N).
@@ -674,20 +663,17 @@ class DiagramMatrix(BMatrix):
     def identity(cls, algebra: MatrixUnitAlgebra, size: int) -> "DiagramMatrix":
         if size != algebra.n:
             raise ValueError("a diagram matrix has the size of its matrix units")
-        return cls(algebra, {(_IDENTITY_DIAGRAM, 0): _ONE})
+        return cls.scalar(algebra, dict.fromkeys(_ONE_CLASSES, _ONE))
 
     @classmethod
     def scalar(cls, algebra: MatrixUnitAlgebra, comps: dict) -> "DiagramMatrix":
-        """The identity times the element with these kernel-class coordinates,
-        by Moebius inversion: the class of kap is the sum over pi >= kap of
-        mu(kap, pi) delta_pi on (a, b, a', b'), and r = c."""
-        terms: dict[tuple, GaussianRational] = {}
-        for kap, x in comps.items():
-            for pi, mu in _coarsenings(kap):
-                idx = pi.block_index()
-                key = (kernel((-1, -1) + tuple(idx[leg] for leg in range(1, 5))), 0)
-                terms[key] = terms.get(key, _ZERO) + _as_gauss(x) * mu
-        return cls(algebra, terms)
+        """The identity times the element with these kernel-class coordinates:
+        the diagrams delta_pi on (a, b, a', b') of _moebius, each with r = c
+        as a block of its own."""
+        return cls(algebra, {
+            (kernel((-1, -1) + tuple(map(pi.block_index().get, range(1, 5)))), 0): d
+            for pi, d in _moebius(comps).items()
+        })
 
     @property
     def rows(self) -> tuple:
@@ -825,16 +811,16 @@ def constrained_sum(constraint: Partition, args):
 
 def loop_polynomials(constraint: Partition, factors) -> dict:
     """constrained_sum of DiagramMatrix factors at every N, per kernel class
-    as a (re, im) pair of RationalFunctions: _loop_sum's polynomials in N."""
+    as a (re, im) pair of RationalFunctions: each of _loop_sum's class
+    polynomials over its denominator times N^-low."""
     if not all(isinstance(f, DiagramMatrix) for f in factors):
         raise TypeError("loop_polynomials needs DiagramMatrix factors")
-    terms, denominator = _loop_sum(constraint, [f.lift() for f in factors])
-    out: dict = {}
-    for (kap, power), (re, im) in terms.items():
-        x = RationalFunction.monomial(power) / denominator
-        acc = out.get(kap, (RationalFunction.zero(),) * 2)
-        out[kap] = (acc[0] + x * re, acc[1] + x * im)
-    return out
+    classes, low, denominator = _loop_sum(constraint, [f.lift() for f in factors])
+    den = (0,) * -low + (denominator,)
+    return {
+        kap: (RationalFunction(re, den), RationalFunction(im, den))
+        for kap, (re, im) in classes.items()
+    }
 
 
 # einsum names its axes by single ASCII letters
@@ -924,12 +910,9 @@ def _diagram_terms(a: BMatrix) -> dict | None:
     The entries A_rc = sum x E_ab(1) E_a'b'(2) form a map on 6-tuples of
     legs (r, c, a, b, a', b').  If the map is invariant under simultaneous
     permutation of the indices, it has one value x_k per kernel class k and
-    equals sum_pi d_pi delta_pi, where delta_pi is 1 on the tuples constant
-    on the blocks of pi and d_pi = sum_{k <= pi} mu(k, pi) x_k (Moebius
-    inversion on the full partition lattice).  That holds at every N, since
-    a class with more blocks than N has no tuples.  Returns the nonzero d_pi
-    keyed by (pi, 0), the terms of a DiagramMatrix, or None for a map that
-    is not invariant.
+    equals sum_pi d_pi delta_pi with the d_pi of _moebius.  Returns the
+    nonzero d_pi keyed by (pi, 0), the terms of a DiagramMatrix, or None for
+    a map that is not invariant.
     """
     items = (
         ((r, c) + quad, v)
@@ -941,11 +924,24 @@ def _diagram_terms(a: BMatrix) -> dict | None:
         orbits = _orbit_coefficients(items, a.size)
     except ValueError:
         return None
-    coeffs: dict[tuple, GaussianRational] = {}
-    for kap, x in orbits.items():
+    return {(pi, 0): d for pi, d in _moebius(orbits).items()}
+
+
+def _moebius(classes: dict) -> dict:
+    """Kernel-class coordinates x_k as diagram coefficients, the nonzero d_pi.
+
+    The element with value x_k on the tuples of kernel class k equals
+    sum_pi d_pi delta_pi, where delta_pi is 1 on the tuples constant on the
+    blocks of pi and d_pi = sum_{k <= pi} mu(k, pi) x_k (Moebius inversion
+    on the full partition lattice).  That holds at every N, since a class
+    with more blocks than N has no tuples.
+    """
+    coeffs: dict[Partition, GaussianRational] = {}
+    for kap, x in classes.items():
+        x = _as_gauss(x)
         for pi, mu in _coarsenings(kap):
-            coeffs[pi, 0] = coeffs.get((pi, 0), _ZERO) + x * mu
-    return {key: d for key, d in coeffs.items() if d}
+            coeffs[pi] = coeffs.get(pi, _ZERO) + x * mu
+    return {pi: d for pi, d in coeffs.items() if d}
 
 
 @lru_cache(maxsize=None)
@@ -961,7 +957,13 @@ def _coarsenings(kap: Partition) -> tuple:
     return tuple(out)
 
 
-def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int]:
+@lru_cache(maxsize=None)
+def _classes_above(pattern: tuple) -> tuple:
+    """The kernel classes coarser than the kernel of a delta pattern's labels."""
+    return tuple(kap for kap, _ in _coarsenings(kernel(pattern)))
+
+
+def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int, int]:
     """The constrained sum of partition-algebra factors by loop counting.
 
     Each lift maps (diagram, power of N) to a coefficient, as
@@ -974,8 +976,10 @@ def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int]:
     is a closed loop and adds one to the power of N, as the chosen diagrams'
     powers do; how the output legs fall together is a delta pattern, and the
     coefficient of a kernel class is the sum over the patterns below it.
-    Returns each class's polynomial in N, as Gaussian integers [re, im]
-    keyed by (kernel class, power of N), and their common denominator.
+    Returns (classes, low, denominator): classes maps each kernel class to
+    its polynomial in N as (re, im) lists of integer coefficients, entry i
+    the coefficient of N^(low + i), with low <= 0 the lowest power; the
+    class's value is that polynomial over denominator.
     """
     m = len(lifts)
     nlegs = 6 * m
@@ -1024,14 +1028,20 @@ def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int]:
             visit(k + 1, joined, more, power + dpower, re * dre - im * dim, re * dim + im * dre)
 
     visit(0, base, merged, 0, 1, 0)
-    # a pattern's tuples fill every kernel class coarser than it
-    classes: dict[tuple, list] = {}
+    low = high = 0
+    for _, power in totals:
+        low, high = min(low, power), max(high, power)
+    width = high - low + 1
+    classes: dict[Partition, tuple[list, list]] = {}
     for (pattern, power), (re, im) in totals.items():
-        for kap, _ in _coarsenings(kernel(pattern)):
-            acc = classes.setdefault((kap, power), [0, 0])
-            acc[0] += re
-            acc[1] += im
-    return classes, denominator
+        i = power - low
+        for kap in _classes_above(pattern):
+            acc = classes.get(kap)
+            if acc is None:
+                acc = classes[kap] = ([0] * width, [0] * width)
+            acc[0][i] += re
+            acc[1][i] += im
+    return classes, low, denominator
 
 
 def _scan_sum(constraint: Partition, args):

@@ -6,6 +6,9 @@ by == at every N, including N < 6, where one matrix has several diagram
 forms and the per-N lift picks one of them.
 """
 
+import functools
+import itertools
+import operator
 import random
 import time
 from collections import Counter
@@ -365,6 +368,39 @@ def test_infinitesimal_check_composes_diagrams(monkeypatch):
     assert calls == {"lift": len(scenario.families)}
 
 
+def test_realize_cancels_and_merges_left_to_right():
+    # a maximal run of rotated tokens is one U letter with the product of
+    # their matrices (U B U* U B U* = U (B B) U*), the run of other tokens
+    # after it the U* letter's factor, the identity if none follows; other
+    # tokens before the first U make the lead, and no tokens the identity
+    pair, _ = flip_pairs()
+    scenario, one = pair.scenario, pair.one_pattern()
+    tokens_of = (WordToken.plain("A"), WordToken.rotated("B"), WordToken.const(one))
+    for n in (4, 5):
+        def matrix(tok):
+            if tok.kind == "const":
+                return scenario.constant(one, n)
+            return scenario.family_matrix(tok.symbol, n)
+
+        for length in range(4):
+            for tokens in itertools.product(tokens_of, repeat=length):
+                lead, letters = None, []
+                for rotated, run in itertools.groupby(tokens, lambda t: t.kind == "rotated"):
+                    product = functools.reduce(operator.matmul, map(matrix, run))
+                    if rotated:
+                        letters.append(UnitaryLetter(1, "1", product))
+                    elif letters:
+                        letters.append(UnitaryLetter(1, "*", product))
+                    else:
+                        lead = product
+                if len(letters) % 2:
+                    letters.append(UnitaryLetter(1, "*", scenario.identity(n)))
+                if not tokens:
+                    lead = scenario.identity(n)
+                expected = MixedWord(scenario.flavor, tuple(letters), lead)
+                assert pair.realize(tokens, n) == expected, (tokens, n)
+
+
 class TestClassCoordinates:
     """Elements built from kernel-class coordinates keep them."""
 
@@ -421,6 +457,13 @@ def test_coarsenings_are_the_canonical_up_sets():
             assert all(pi == Partition(k, pi.blocks) for pi in found)
             assert len(set(found)) == len(found)
             assert set(found) == {pi for pi in full if leq(kap, pi)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_identity_is_one_diagram(n):
+    # r = c, a = b, a' = b': the two classes of one() after Moebius inversion
+    identity = DiagramMatrix.identity(MatrixUnitAlgebra(n), n)
+    assert identity.terms == {(Partition(6, ((1, 2), (3, 4), (5, 6))), 0): 1}
 
 
 def test_scalar_diagrams_are_canonical():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qhaar import opvalued
-from qhaar.exactalg import GaussianRational
+from qhaar.exactalg import GaussianRational, RationalFunction
 from qhaar.freeness import (
     MixedWord,
     UnitaryLetter,
@@ -772,6 +772,44 @@ class TestLoopSum:
                     args = [DiagramMatrix(alg, t) for t in terms[:m]]
                     assert value == _scan_sum(constraint, args)
                     assert value == constrained_sum(constraint, args)
+
+    def test_loop_polynomials_build_two_functions_per_class(self, monkeypatch):
+        # each kernel class's (re, im) polynomials become one RationalFunction
+        # each, with no arithmetic per (class, power) term
+        word = counterexample_word(4, "quantum")
+        constraints = slot_partitions(word)
+        built = []
+        post_init = RationalFunction.__post_init__
+        monkeypatch.setattr(
+            RationalFunction, "__post_init__", lambda self: built.append(1) or post_init(self)
+        )
+        classes = 0
+        for constraint in constraints:
+            built.clear()
+            polys = loop_polynomials(constraint, word.all_factors())
+            assert len(built) <= 2 * len(polys)
+            classes += len(polys)
+        assert classes
+
+    def test_per_n_sums_build_no_functions(self, monkeypatch):
+        # at one N the class polynomials are evaluated on integers
+        n = 5
+        word = counterexample_word(n, "quantum")
+        factors = word.all_factors()
+        constraints = slot_partitions(word)
+
+        def refuse(self):
+            raise AssertionError("a per-N sum built a RationalFunction")
+
+        monkeypatch.setattr(RationalFunction, "__post_init__", refuse)
+        values = [constrained_sum(constraint, factors) for constraint in constraints]
+        monkeypatch.undo()
+        alg = MatrixUnitAlgebra(n)
+        for constraint, value in zip(constraints, values):
+            assert value == alg.from_components({
+                kap: GaussianRational(re.evaluate(n), im.evaluate(n))
+                for kap, (re, im) in loop_polynomials(constraint, factors).items()
+            })
 
     def test_loop_polynomials_need_diagrams(self):
         alg = MatrixUnitAlgebra(3)
