@@ -242,15 +242,23 @@ def _union(parent: list, x: int, y: int) -> int:
     return 1
 
 
+def _join_forest(p: Partition, q: Partition) -> tuple[list, int]:
+    """The union-find forest joining the blocks of p and q, and its merge
+    count; |p v q| is the ground size less the merges."""
+    parent = list(range(p.size + 1))
+    merges = 0
+    for part in (p, q):
+        for block in part.blocks:
+            for a, b in zip(block, block[1:]):
+                merges += _union(parent, a, b)
+    return parent, merges
+
+
 def join_full(p: Partition, q: Partition) -> Partition:
     """Join in the full partition lattice P(k), by union-find over blocks."""
     if p.size != q.size:
         raise ValueError("ground sizes differ")
-    parent = list(range(p.size + 1))
-    for part in (p, q):
-        for block in part.blocks:
-            for a, b in zip(block, block[1:]):
-                _union(parent, a, b)
+    parent, _ = _join_forest(p, q)
     return kernel(_find(parent, x) for x in range(1, p.size + 1))
 
 

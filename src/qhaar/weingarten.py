@@ -24,12 +24,12 @@ from .exactalg import FieldMatrix, RationalFunction, laurent_at_infinity
 from .partitions import (
     Partition,
     SignPattern,
+    _join_forest,
     enumerate_family,
     fatten,
     join_full,
     kernel,
     leq,
-    mobius,
     restrict,
 )
 
@@ -208,6 +208,8 @@ _INVERSE_CACHE: dict[FieldMatrix, FieldMatrix] = {}
 def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     """Enumerate the pairing family for eps and invert its Gram matrix exactly.
 
+    Each Gram entry is n^{|p v s|}, with the block count read off a
+    union-find over the blocks of p and s; no join partition is built.
     Results are cached by (flavor, pattern) and inverses by Gram matrix;
     cached tables are immutable.
     """
@@ -220,13 +222,12 @@ def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     if cached is not None:
         return cached
     family = enumerate_family(record.pairings, len(eps), eps).members
-    rows = []
-    for p in family:
-        row = tuple(
-            RationalFunction.monomial(len(join_full(p, s).blocks)) for s in family
-        )
-        rows.append(row)
-    gram = FieldMatrix(tuple(rows))
+    # the join of two pairings of 2m points has at most m blocks
+    m = len(eps) // 2
+    powers = [RationalFunction.monomial(j) for j in range(m + 1)] if family else []
+    gram = FieldMatrix(tuple(
+        tuple(powers[len(eps) - _join_forest(p, s)[1]] for s in family) for p in family
+    ))
     wg = _INVERSE_CACHE.get(gram)
     if wg is None:
         wg = _INVERSE_CACHE[gram] = gram.invert()
@@ -252,18 +253,29 @@ def _cumulant_coefficients(ker_l: Partition) -> dict[Partition, int]:
     The free-product state of a word with label kernel ker_l is the sum over
     noncrossing omega of c(omega) times the product of one-copy states over
     the blocks of omega; only the nonzero coefficients are kept, in the
-    enumeration order of NC(k).  Every omega and tau involved refines ker_l,
-    so the double sum runs over that short list; sign patterns do not enter.
+    enumeration order of NC(k).  Sign patterns do not enter.
+
+    Every omega and tau involved lies in S = {tau in NC(k) : tau <= ker_l},
+    a down-set of NC(k).  For omega in S, the sum of c(tau) over tau in S
+    with tau >= omega is the sum over sigma in S above omega of
+    sum_{omega <= tau <= sigma} mu(tau, sigma) = delta(omega, sigma), so it
+    is 1.  One pass over S, fewest blocks first, therefore sets
+    c(omega) = 1 - the sum of the c(tau) already found with tau > omega;
+    no Moebius value is computed.
+
+    >>> {str(k): v for k, v in _cumulant_coefficients(kernel((1, 2, 1, 2))).items()}
+    {'{{1},{2},{3},{4}}': -1, '{{1},{2,4},{3}}': 1, '{{1,3},{2},{4}}': 1}
     """
     cached = _CUMULANT_CACHE.get(ker_l)
     if cached is not None:
         return cached
     below = [tau for tau in enumerate_family("nc", ker_l.size).members if leq(tau, ker_l)]
-    coefficients = {}
-    for omega in below:
-        tot = sum(mobius(omega, tau) for tau in below if leq(omega, tau))
+    found: dict[Partition, int] = {}
+    for omega in sorted(below, key=lambda tau: len(tau.blocks)):
+        tot = 1 - sum(c for tau, c in found.items() if leq(omega, tau))
         if tot:
-            coefficients[omega] = tot
+            found[omega] = tot
+    coefficients = {omega: found[omega] for omega in below if omega in found}
     _CUMULANT_CACHE[ker_l] = coefficients
     return coefficients
 
@@ -377,26 +389,27 @@ def west_expansion(table: WeingartenTable, p: Partition, s: Partition) -> WestEx
     """Expansion of n^(m+|s|-|p|) W(fatten(p), fatten(s)) at n = infinity.
 
     The rescaled entry tends to mu(s, p); the n^-1 term vanishes; the raw
-    entry has leading exponent at most 2|p v s| - |p| - |s| - m.
+    entry has leading exponent at most 2|p v s| - |p| - |s| - m.  The series
+    of n^scale f is that of f with every exponent raised by scale, so the
+    data are read off the entry's own series at n^-scale, n^(-1-scale) and
+    n^(-2-scale); the rescaled function is never formed.
     """
     m = len(table.pattern) // 2
     fp, fs = fatten(p), fatten(s)
     if not table.contains(fp) or not table.contains(fs):
         raise ValueError("fattened partitions must belong to the table family")
     entry = table.wg_entry(fp, fs)
-    scale = m + len(s.blocks) - len(p.blocks)
-    scaled = RationalFunction.monomial(scale) * entry
-    if not scaled:
+    if not entry:
         return WestExpansion(None, Fraction(0), Fraction(0), Fraction(0))
-    dp, dq = scaled.degrees()
-    lead = dp - dq
-    series = laurent_at_infinity(scaled, max(0, lead + 2))
-    raw_lead = lead - scale
+    scale = m + len(s.blocks) - len(p.blocks)
+    dp, dq = entry.degrees()
+    raw_lead = dp - dq
+    series = laurent_at_infinity(entry, max(0, raw_lead + scale + 2))
     return WestExpansion(
         raw_lead,
-        series.abs_coefficient(0),
-        series.abs_coefficient(-1),
-        series.abs_coefficient(-2),
+        series.abs_coefficient(-scale),
+        series.abs_coefficient(-1 - scale),
+        series.abs_coefficient(-2 - scale),
     )
 
 

@@ -65,11 +65,15 @@ class TestBuildTable:
         assert t.wg_entry(b, a) == off
 
     def test_gram_entries_are_join_block_counts(self):
-        t = build_table("quantum", ALT6)
-        for p in t.family:
-            for s in t.family:
-                expect = RF.monomial(len(join_full(p, s).blocks))
-                assert t.gram_entry(p, s) == expect
+        # every table of both flavors up to their caps
+        for flavor, record in weingarten.FLAVORS.items():
+            for length in range(2, record.cap + 1, 2):
+                for eps in all_sign_patterns(length):
+                    t = build_table(flavor, eps)
+                    for p in t.family:
+                        for s in t.family:
+                            expect = RF.monomial(len(join_full(p, s).blocks))
+                            assert t.gram_entry(p, s) == expect
 
     def test_inverse_is_exact(self):
         tables = [build_table("quantum", eps) for eps in (ALT4, ALT6, SignPattern.from_text("11**"))]
@@ -246,11 +250,12 @@ class TestWordMoment:
 class TestCumulantCoefficients:
     @staticmethod
     def double_sum(ker):
-        # the unrestricted sum over NC(k) x NC(k)
+        # the unrestricted sum over NC(k) x NC(k) of Moebius values
         ncs = enumerate_family("nc", ker.size).members
+        below = [tau for tau in ncs if leq(tau, ker)]
         out = {}
         for omega in ncs:
-            tot = sum(mobius(omega, tau) for tau in ncs if leq(omega, tau) and leq(tau, ker))
+            tot = sum(mobius(omega, tau) for tau in below if leq(omega, tau))
             if tot:
                 out[omega] = tot
         return out
@@ -264,11 +269,9 @@ class TestCumulantCoefficients:
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_crossing_kernel_matches_the_double_sum(self, k):
-        kernels = [
-            ker for ker in enumerate_family("all", k).members
-            if not ker.is_noncrossing() and (k == 4 or len(ker.blocks) == 2)
-        ]
-        assert kernels
+        # every crossing kernel of the size
+        kernels = [ker for ker in enumerate_family("all", k).members if not ker.is_noncrossing()]
+        assert len(kernels) == {4: 1, 6: 71}[k]
         for ker in kernels:
             got = weingarten._cumulant_coefficients(ker)
             expected = self.double_sum(ker)
@@ -438,6 +441,23 @@ class TestFreeProductMoment:
                 assert dp - dq <= max(exponents) - 2
 
 
+def west_by_rescaling(table, p, s):
+    # the expansion read off the rescaled function n^scale * entry itself
+    m = len(table.pattern) // 2
+    scale = m + len(s.blocks) - len(p.blocks)
+    scaled = RF.monomial(scale) * table.wg_entry(fatten(p), fatten(s))
+    if not scaled:
+        return (None, 0, 0, 0)
+    dp, dq = scaled.degrees()
+    series = laurent_at_infinity(scaled, max(0, dp - dq + 2))
+    return (
+        dp - dq - scale,
+        series.abs_coefficient(0),
+        series.abs_coefficient(-1),
+        series.abs_coefficient(-2),
+    )
+
+
 class TestWestExpansion:
     def test_equal_partitions(self):
         t = build_table("quantum", ALT4)
@@ -476,6 +496,28 @@ class TestWestExpansion:
                         - 3
                     )
                     assert got.exponent <= bound
+
+    @pytest.mark.parametrize("flavor", ["quantum", "classical"])
+    def test_equals_the_rescaled_series(self, flavor):
+        # every (p, s) of every balanced pattern up to the flavor's cap
+        checked = 0
+        for length in range(2, weingarten.flavor_of(flavor).cap + 1, 2):
+            for eps in all_sign_patterns(length):
+                if 2 * eps.signs.count("1") != length:
+                    continue
+                t = build_table(flavor, eps)
+                family = [
+                    p for p in enumerate_family("nc", length // 2).members
+                    if t.contains(fatten(p))
+                ]
+                for p in family:
+                    for s in family:
+                        got = west_expansion(t, p, s)
+                        expected = west_by_rescaling(t, p, s)
+                        assert got.exponent == expected[0]
+                        assert (got.c0, got.c1, got.c2) == expected[1:]
+                        checked += 1
+        assert checked == {"quantum": 1210, "classical": 118}[flavor]
 
     def test_partition_outside_family_rejected(self):
         eps = SignPattern.from_text("11**")
