@@ -471,9 +471,10 @@ class FamilySpec:
     """One named matrix family given by a size-independent constructor.
 
     Kinds: matrix_unit_pattern (an entry expression in i, j, N over the two
-    matrix-unit systems), circulant (dense blocks placed along wrapped
-    diagonals), diagonal_constant, diagonal_pattern (a periodic diagonal of
-    dense blocks), and explicit (a literal matrix per size).
+    matrix-unit systems), circulant (cell t of a list at (r, r + t mod N) in
+    every row r), diagonal_pattern (cell r mod p of a list of p at (r, r)),
+    and explicit (a literal matrix per size).  A scenario's diagonal_constant
+    family loads as the one-cell diagonal_pattern.
     """
 
     kind: str
@@ -512,37 +513,19 @@ class FamilySpec:
                 for i in rng
             ]
             return BMatrix(algebra, rows)
-        if self.kind == "circulant":
+        if self.kind in ("circulant", "diagonal_pattern"):
+            # a circulant puts cell t at (r, r + t mod N), where cells that wrap
+            # onto one place add up; a diagonal pattern puts cell r mod p at (r, r)
             cells = self.payload
+            if self.kind == "circulant":
+                placed = [(r, (r + t) % n, x) for t, x in enumerate(cells) for r in range(n)]
+            else:
+                placed = [(r, r, cells[r % len(cells)]) for r in range(n)]
             zero = algebra.zero()
-            rows = []
-            for r in rng:
-                row = []
-                for c in rng:
-                    acc = zero
-                    for t, cell in enumerate(cells):
-                        if t % n == (c - r) % n:
-                            acc = acc + cell
-                    row.append(acc)
-                rows.append(row)
+            rows = [[zero] * n for _ in range(n)]
+            for r, c, cell in placed:
+                rows[r][c] = rows[r][c] + cell
             return BMatrix(algebra, rows)
-        if self.kind == "diagonal_constant":
-            cell = self.payload
-            zero = algebra.zero()
-            return BMatrix(
-                algebra,
-                [[cell if r == c else zero for c in rng] for r in rng],
-            )
-        if self.kind == "diagonal_pattern":
-            cells = self.payload
-            zero = algebra.zero()
-            return BMatrix(
-                algebra,
-                [
-                    [cells[(r - 1) % len(cells)] if r == c else zero for c in rng]
-                    for r in rng
-                ],
-            )
         if self.kind == "explicit":
             rows = self.payload.get(n)
             if rows is None:
@@ -672,25 +655,24 @@ def _parse_family(data, kind: str, dim: int | None) -> FamilySpec:
         return FamilySpec(ctor, entry)
     if kind != "dense":
         raise ValueError(f"constructor {ctor} needs the dense algebra")
-    if ctor == "circulant":
-        cells = data.get("coefficients")
-        if not isinstance(cells, list) or not cells:
-            raise ValueError("circulant families need a nonempty 'coefficients' list")
-        return FamilySpec(ctor, tuple(_parse_cell(c, dim) for c in cells))
     if ctor == "diagonal_constant":
-        return FamilySpec(ctor, _parse_cell(data.get("cell"), dim))
-    if ctor == "diagonal_pattern":
-        cells = data.get("cells")
+        return FamilySpec("diagonal_pattern", (_parse_cell(data.get("cell"), dim),))
+    if ctor in ("circulant", "diagonal_pattern"):
+        key = "coefficients" if ctor == "circulant" else "cells"
+        cells = data.get(key)
         if not isinstance(cells, list) or not cells:
-            raise ValueError("diagonal_pattern families need a nonempty 'cells' list")
+            raise ValueError(f"{ctor} families need a nonempty '{key}' list")
         return FamilySpec(ctor, tuple(_parse_cell(c, dim) for c in cells))
     if ctor == "explicit":
         table = data.get("matrices")
         if not isinstance(table, dict) or not table:
             raise ValueError("explicit families need a 'matrices' object keyed by N")
+        sizes = {str(n): n for n in range(2, MAX_N + 1)}
         payload = {}
         for key, rows in table.items():
-            n = int(key)
+            n = sizes.get(str(key))
+            if n is None:
+                raise ValueError(f"'matrices' keys are sizes from 2 to {MAX_N}, got {key!r}")
             if not (
                 isinstance(rows, list)
                 and len(rows) == n

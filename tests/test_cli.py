@@ -35,6 +35,10 @@ BASE_SCENARIO = {
 }
 
 
+# the 2x2 identity over the dim-1 dense algebra of BASE_SCENARIO
+IDENTITY_2 = [[[["1"]], [["0"]]], [[["0"]], [["1"]]]]
+
+
 def entry(text):
     return {
         "algebra": {"kind": "matrix_unit"},
@@ -69,6 +73,20 @@ BAD_SCENARIOS = [
     ("explicit-wrong-shape",
      {"families": {"A": {"constructor": "explicit", "matrices": {"2": [[[["1"]]]]}}}},
      "family A: the explicit matrix for N = 2 must be 2x2"),
+    # a second spelling of a size used to replace the first matrix silently
+    ("explicit-key-leading-zero",
+     {"families": {"A": {"constructor": "explicit",
+                         "matrices": {"2": IDENTITY_2, "02": IDENTITY_2}}}},
+     "family A: 'matrices' keys are sizes from 2 to 16, got '02'"),
+    ("explicit-key-not-a-number",
+     {"families": {"A": {"constructor": "explicit", "matrices": {"abc": IDENTITY_2}}}},
+     "family A: 'matrices' keys are sizes from 2 to 16, got 'abc'"),
+    ("explicit-key-negative",
+     {"families": {"A": {"constructor": "explicit", "matrices": {"-1": IDENTITY_2}}}},
+     "family A: 'matrices' keys are sizes from 2 to 16, got '-1'"),
+    ("explicit-key-over-cap",
+     {"families": {"A": {"constructor": "explicit", "matrices": {"17": IDENTITY_2}}}},
+     "family A: 'matrices' keys are sizes from 2 to 16, got '17'"),
     ("n-range-over-cap", {"n_range": [2, 1000000000]},
      "n_range: sizes are capped at 16, got 1000000000"),
     # JSON true is a Python bool, which isinstance(.., int) accepts
@@ -519,6 +537,26 @@ class TestFreeness:
         assert code == 2
         assert out == ""
         assert err == "error: --scenario: n_range: denominator vanishes at n = 2\n"
+
+    def test_diagonal_constant_is_the_one_cell_diagonal_pattern(self, capsys, tmp_path):
+        cell = [["1", "i"], ["0", "-1/2"]]
+        path = tmp_path / "family.json"
+        runs = []
+        for family in (
+            {"constructor": "diagonal_constant", "cell": cell},
+            {"constructor": "diagonal_pattern", "cells": [cell]},
+        ):
+            scenario = {
+                **BASE_SCENARIO,
+                "algebra": {"kind": "dense", "dim": 2},
+                "families": {"A": family},
+                "word": letters([1, 1, 1, 1]),
+                "n_range": [2, 7],
+            }
+            path.write_text(json.dumps(scenario))
+            runs.append(run(capsys, ["freeness", "--scenario", str(path)]))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == ""
 
     def test_n_max_over_cap(self, capsys):
         code, out, err = run(

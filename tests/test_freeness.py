@@ -15,6 +15,7 @@ from qhaar.freeness import (
     InfinitesimalPair,
     MAX_N,
     MixedWord,
+    SLOPE_THRESHOLD,
     Scenario,
     UnitaryLetter,
     WordToken,
@@ -78,6 +79,27 @@ def rand_element(rng, alg):
 
 def rand_matrix(rng, n, alg=ALG2):
     return BMatrix(alg, [[rand_element(rng, alg) for _ in range(n)] for _ in range(n)])
+
+
+def placed_by_entry(kind, cells, alg, n):
+    """The dense family at size n by the per-entry rule: entry (r, c) of a
+    circulant sums the cells t with t = c - r mod n, and the diagonal entry
+    (r, r) of a diagonal pattern is cell r mod p."""
+    zero = alg.zero()
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = zero
+            if kind == "circulant":
+                for t, cell in enumerate(cells):
+                    if t % n == (c - r) % n:
+                        acc = acc + cell
+            elif r == c:
+                acc = cells[r % len(cells)]
+            row.append(acc)
+        rows.append(row)
+    return BMatrix(alg, rows)
 
 
 def flip_infinitesimal_pair():
@@ -456,6 +478,27 @@ class TestScenarios:
         assert m.rows[2][2] == c0
         assert not m.rows[0][1]
 
+    def test_placement_matches_the_per_entry_rule(self):
+        rng = random.Random(22)
+        alg = DenseAlgebra(1)
+        for n in range(1, MAX_N + 1):
+            # up to 2n + 1 cells, so that cells wrap onto occupied places
+            for count in range(1, 2 * n + 2):
+                cells = tuple(rand_element(rng, alg) for _ in range(count))
+                expected = placed_by_entry("circulant", cells, alg, n)
+                assert FamilySpec("circulant", cells).matrix(alg, n) == expected
+            for period in range(1, 6):
+                cells = tuple(rand_element(rng, ALG2) for _ in range(period))
+                expected = placed_by_entry("diagonal_pattern", cells, ALG2, n)
+                assert FamilySpec("diagonal_pattern", cells).matrix(ALG2, n) == expected
+
+    def test_diagonal_constant_loads_as_one_cell_pattern(self):
+        data = json.loads((SCENARIO_DIR / "diagonal_pattern.json").read_text())
+        cell = [["1", "i"], ["0", "2"]]
+        data["families"]["P"] = {"constructor": "diagonal_constant", "cell": cell}
+        spec = load_scenario(data).families["P"]
+        assert spec == FamilySpec("diagonal_pattern", (dense_cell(cell),))
+
     def test_explicit_family_missing_size(self):
         data = {
             "name": "x",
@@ -538,6 +581,17 @@ class TestFiniteDim:
         with pytest.raises(ValueError):
             finite_dim_scenario(4)
 
+    def test_classical_diagonal_pattern_shows_the_rate(self):
+        # the circulants of finite_dim_scenario deviate by exactly 0 from
+        # N = 7 on; this periodic diagonal pattern deviates at every size
+        data = json.loads((SCENARIO_DIR / "diagonal_pattern.json").read_text())
+        data["flavor"] = "classical"
+        rep = load_scenario(data).report(range(4, 13))
+        assert all(row.delta > 0 for row in rep.rows)
+        assert rep.slope <= SLOPE_THRESHOLD
+        assert rep.n2_bounded
+        assert rep.verdict
+
 
 class TestConstantPattern:
     def test_dense_round_trip(self):
@@ -570,11 +624,11 @@ class TestConstantPattern:
 
 class TestLaurentMoments:
     def test_dense_sample_reproduction(self):
-        # constant diagonal cells keep the moments rational in N; periodic
-        # patterns would only be quasi-polynomial and cannot interpolate
+        # one-cell diagonal patterns keep the moments rational in N; longer
+        # periods would only be quasi-polynomial and cannot interpolate
         families = {
-            "P": FamilySpec("diagonal_constant", dense_cell([["1", "1"], ["0", "-1"]])),
-            "Q": FamilySpec("diagonal_constant", dense_cell([["1/2", "i"], ["-i", "0"]])),
+            "P": FamilySpec("diagonal_pattern", (dense_cell([["1", "1"], ["0", "-1"]]),)),
+            "Q": FamilySpec("diagonal_pattern", (dense_cell([["1/2", "i"], ["-i", "0"]]),)),
         }
         small = Scenario(
             name="d",
