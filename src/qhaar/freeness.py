@@ -416,7 +416,12 @@ def convergence_report(word_at, n_range) -> ConvergenceReport:
     def row(n: int) -> ReportRow:
         word = word_at(n)
         value = lhs_exact(word, n)
-        delta = word.algebra.norm_float(value - limit_formula(word.as_quantum()))
+        try:
+            delta = word.algebra.norm_float(value - limit_formula(word.as_quantum()))
+        except OverflowError:
+            delta = math.inf
+        if not math.isfinite(n * n * delta):
+            raise ValueError(f"N = {n}: exact values exceed the float range of the spectral norm")
         return ReportRow(n, value, delta, float(n * n) * delta)
 
     rows = [row(n) for n in ns]
@@ -601,11 +606,6 @@ class Scenario:
         """The identity of M_N(B); over matrix units, one diagram."""
         matrix = DiagramMatrix if self.kind == "matrix_unit" else BMatrix
         return matrix.identity(self.algebra(n), n)
-
-    def constant(self, pattern: "ConstantPattern", n: int) -> DiagramMatrix:
-        """The identity of M_N(B) times a size-independent element, straight
-        from its kernel-class coefficients."""
-        return DiagramMatrix.scalar(self.algebra(n), pattern.entries)
 
     def word_at(self, n: int) -> MixedWord:
         mats = {name: self.family_matrix(name, n) for name in self.families}
@@ -875,35 +875,30 @@ def counterexample(n: int, flavor: str):
 
 @dataclass(frozen=True)
 class ConstantPattern:
-    """A size-independent element: its coordinates under the algebra's
-    components (dense entries, or matrix-unit kernel classes)."""
+    """A size-independent matrix-unit element: one coordinate per kernel class."""
 
-    kind: str
-    dim: int | None
+    # what bench/gate.py::pattern_payload digests beside the entries
+    kind = "matrix_unit"
+    dim = None
+
     entries: dict
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", {k: v for k, v in self.entries.items() if v})
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.dim, frozenset(self.entries.items())))
-
-    def _match(self, other: "ConstantPattern") -> None:
-        if self.kind != other.kind or self.dim != other.dim:
-            raise ValueError("patterns live over different algebras")
+        return hash(frozenset(self.entries.items()))
 
     def _plus(self, entries: dict, sign: int = 1) -> "ConstantPattern":
         out = dict(self.entries)
         for k, v in entries.items():
             out[k] = out.get(k, GaussianRational.zero()) + v * sign
-        return ConstantPattern(self.kind, self.dim, out)
+        return ConstantPattern(out)
 
     def __add__(self, other: "ConstantPattern") -> "ConstantPattern":
-        self._match(other)
         return self._plus(other.entries)
 
     def __sub__(self, other: "ConstantPattern") -> "ConstantPattern":
-        self._match(other)
         return self._plus(other.entries, -1)
 
     def is_zero(self) -> bool:
@@ -925,10 +920,8 @@ def _series_abs(f: RationalFunction, shift: int) -> Fraction:
 
 @dataclass
 class MomentPattern:
-    """Exact rational functions of N, a (re, im) pair per coordinate."""
+    """A matrix-unit element as exact rational functions of N, (re, im) per kernel class."""
 
-    kind: str
-    dim: int | None
     entries: dict
 
     def value_at(self, n: int, algebra: CoefficientAlgebra):
@@ -940,7 +933,7 @@ class MomentPattern:
 
     def series_constant(self, shift: int) -> ConstantPattern:
         """Laurent coefficient of N^-shift of every entry, as a pattern."""
-        return ConstantPattern(self.kind, self.dim, {
+        return ConstantPattern({
             key: GaussianRational(_series_abs(re, shift), _series_abs(im, shift))
             for key, (re, im) in self.entries.items()
         })
@@ -964,7 +957,7 @@ def lhs_function(word: MixedWord) -> MomentPattern:
         for kap, (re, im) in loop_polynomials(constraint, word.all_factors()).items():
             acc = entries.get(kap, (RationalFunction.zero(),) * 2)
             entries[kap] = (acc[0] + w * re, acc[1] + w * im)
-    return MomentPattern("matrix_unit", None, {k: v for k, v in entries.items() if v[0] or v[1]})
+    return MomentPattern({k: v for k, v in entries.items() if v[0] or v[1]})
 
 
 class WordToken(NamedTuple):
@@ -1021,9 +1014,7 @@ class InfinitesimalPair:
 
     def one_pattern(self) -> ConstantPattern:
         algebra = self.scenario.algebra(_PAIR_N)
-        return ConstantPattern(
-            self.scenario.kind, self.scenario.dim, algebra.components(algebra.one())
-        )
+        return ConstantPattern(algebra.components(algebra.one()))
 
     def realize(self, tokens, n: int) -> MixedWord:
         """Assemble the tokens into a mixed word at one concrete size.
@@ -1033,15 +1024,16 @@ class InfinitesimalPair:
         exact evaluator expects.
         """
         scenario = self.scenario
+        algebra = scenario.algebra(n)
         # unitary signs ("1" for U, "*" for U*) and matrices, alternating
         seq: list = []
         for tok in tokens:
             if tok.kind == "const":
-                mat = scenario.constant(tok.pattern, n)
+                mat = DiagramMatrix.scalar(algebra, tok.pattern.entries)
             elif tok.kind in ("rotated", "plain"):
                 mat = scenario.family_matrix(tok.symbol, n)
                 if tok.center is not None and not tok.center.is_zero():
-                    mat = mat - scenario.constant(tok.center, n)
+                    mat = mat - DiagramMatrix.scalar(algebra, tok.center.entries)
             else:
                 raise ValueError(f"unknown token kind: {tok.kind}")
             if tok.kind == "rotated":

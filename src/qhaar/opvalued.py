@@ -963,6 +963,10 @@ def _classes_above(pattern: tuple) -> tuple:
     return tuple(kap for kap, _ in _coarsenings(kernel(pattern)))
 
 
+# diagram choices one loop count may visit, at about 3.5 us each (README)
+MAX_LOOP_CHOICES = 100_000
+
+
 def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int, int]:
     """The constrained sum of partition-algebra factors by loop counting.
 
@@ -981,6 +985,9 @@ def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int, int]:
     the coefficient of N^(low + i), with low <= 0 the lowest power; the
     class's value is that polynomial over denominator.
     """
+    if (count := math.prod(map(len, lifts))) > MAX_LOOP_CHOICES:
+        raise ValueError(f"loop counting needs {count} diagram choices, "
+                         f"over MAX_LOOP_CHOICES = {MAX_LOOP_CHOICES}")
     m = len(lifts)
     nlegs = 6 * m
     base = list(range(nlegs))

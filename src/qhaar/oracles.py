@@ -222,8 +222,7 @@ def mobius_recursive(s: Partition, p: Partition) -> int:
     return -total
 
 
-def laurent_moments(word_at, samples, kind: str, dim: int | None = None,
-                    degrees: tuple[int, int] = (8, 8)) -> MomentPattern:
+def laurent_moments(word_at, samples, degrees: tuple[int, int] = (8, 8)) -> MomentPattern:
     """Interpolate the exact values of a word family as rational functions.
 
     word_at maps a size to a MixedWord; every coordinate of the value under
@@ -254,4 +253,4 @@ def laurent_moments(word_at, samples, kind: str, dim: int | None = None,
         )
         if re or im:
             entries[key] = (re, im)
-    return MomentPattern(kind, dim, entries)
+    return MomentPattern(entries)

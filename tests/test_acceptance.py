@@ -350,7 +350,7 @@ def test_criterion_08_infinitesimal_freeness():
     # sampled per-size value exactly
     scenario = load_scenario(SCENARIO_DIR / "matrix_unit_flip.json")
     samples = range(4, 14)
-    moments = laurent_moments(scenario.word_at, samples, "matrix_unit", degrees=(4, 4))
+    moments = laurent_moments(scenario.word_at, samples, degrees=(4, 4))
     for n in samples:
         w = scenario.word_at(n)
         assert moments.value_at(n, w.algebra) == lhs_exact(w, n)

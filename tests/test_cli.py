@@ -46,6 +46,21 @@ def entry(text):
     }
 
 
+# seven diagrams per entry; B is A with the two systems swapped
+SEVEN_DIAGRAMS = (
+    "E(1, j, i) + E(1, i, j) + E(2, i, j) + E(1, i, i) + E(2, j, j)"
+    " + E(1, i, j)*E(2, j, i) + E(1, j, j)*E(2, i, i)"
+)
+SEVEN_DIAGRAMS_SWAPPED = (
+    "E(2, j, i) + E(2, i, j) + E(1, i, j) + E(2, i, i) + E(1, j, j)"
+    " + E(2, i, j)*E(1, j, i) + E(2, j, j)*E(1, i, i)"
+)
+# an exact value near 1e192, whose fourth moment no float can hold
+HUGE = "99999999 ** 8 * 99999999 ** 8 * 99999999 ** 8"
+# 3e77: the deviation fits a float, N^2 times its norm does not
+LARGE = " * ".join(["10 ** 7"] * 11 + ["3"])
+
+
 BAD_SCENARIOS = [
     ("classical-two-labels", {"flavor": "classical", "word": letters([1, 2])},
      "word: classical scenarios use one unitary label"),
@@ -93,6 +108,21 @@ BAD_SCENARIOS = [
     ("dim-true", {"algebra": {"kind": "dense", "dim": True}},
      "dense scenarios need an integer dim between 1 and 4"),
     ("label-true", {"word": letters([True, 1])}, "letter labels are integers starting at 1"),
+    # 7^8 choices per loop count, about an hour per size without the bound
+    ("loop-choices-over-cap",
+     {"algebra": {"kind": "matrix_unit"},
+      "families": {"A": {"constructor": "matrix_unit_pattern", "entry": SEVEN_DIAGRAMS},
+                   "B": {"constructor": "matrix_unit_pattern", "entry": SEVEN_DIAGRAMS_SWAPPED}},
+      "word": letters([1] * 8, ["A", "B"] * 4)},
+     "loop counting needs 5764801 diagram choices, over MAX_LOOP_CHOICES = 100000"),
+    ("norm-over-float-range",
+     {"families": {"A": {"constructor": "diagonal_pattern", "cells": [[[HUGE]], [["0"]]]}},
+      "word": letters([1] * 4)},
+     "N = 3: exact values exceed the float range of the spectral norm"),
+    ("n2-norm-over-float-range",
+     {"families": {"A": {"constructor": "diagonal_pattern", "cells": [[[LARGE]], [["0"]]]}},
+      "word": letters([1] * 4)},
+     "N = 3: exact values exceed the float range of the spectral norm"),
 ]
 
 
