@@ -35,6 +35,7 @@ from .opvalued import (
     DiagramMatrix,
     MatrixUnitAlgebra,
     MatrixUnitElement,
+    MAX_N,
     constrained_sum,
     evaluate_expression,
     functional_e,
@@ -88,8 +89,6 @@ __all__ = [
     "infinitesimal_check",
 ]
 
-# the largest matrix size a scenario or a command may ask for
-MAX_N = 16
 # the names a matrix_unit_pattern entry may use
 ENTRY_NAMES = ("i", "j", "N", "E")
 
@@ -184,10 +183,19 @@ class MixedWord:
         out.extend(let.factor for let in self.letters)
         return out
 
+    @cached_property
+    def sums(self) -> dict:
+        """The constrained sums of all_factors() read so far, by slot
+        partition; not a field, so eq and hash ignore it."""
+        return {}
+
     def as_quantum(self) -> "MixedWord":
         if FLAVORS[self.flavor].free:
             return self
-        return MixedWord("quantum", self.letters, self.lead)
+        twin = MixedWord("quantum", self.letters, self.lead)
+        # the sums depend only on the factors, which the twin shares
+        twin.__dict__["sums"] = self.sums
+        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +262,19 @@ def _lhs_terms(word: MixedWord) -> list:
 
 def _evaluate_terms(terms, word: MixedWord):
     """The sum over (constraint, weight) terms of the weight at the word's
-    size times the constrained sum of the word's factors (lead included)."""
+    size times the constrained sum of the word's factors (lead included),
+    each sum computed once per word (MixedWord.sums)."""
     n = word.size
     factors = word.all_factors()
+    sums = word.sums
     total = word.algebra.zero()
     for constraint, w in terms:
         wn = w.evaluate(n)
         if not wn:
             continue
-        block_sum = constrained_sum(constraint, factors)
+        block_sum = sums.get(constraint)
+        if block_sum is None:
+            block_sum = sums[constraint] = constrained_sum(constraint, factors)
         if not block_sum:
             continue
         total = total + block_sum * wn

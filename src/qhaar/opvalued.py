@@ -823,14 +823,17 @@ def loop_polynomials(constraint: Partition, factors) -> dict:
     }
 
 
+# the largest matrix size a scenario or a command may ask for
+MAX_N = 16
 # einsum names its axes by single ASCII letters
 _SUBSCRIPTS = string.ascii_letters
 # intermediate size cap for einsum's greedy path; numpy's default (the size
 # of the largest input) forces the naive contraction on cyclic slot patterns
 _EINSUM_MEMORY = 10**6
-# greedy contraction paths by (spec, operand shapes); the sums of one run
-# repeat a few dozen specs, so each path is searched once
-_EINSUM_PATHS: dict[tuple[str, tuple], list] = {}
+# compiled contraction plans by (spec, d, S) with S = max(N, MAX_N): each
+# greedy path is searched once, on probes of size S; every intermediate has
+# N^k (2d)^j entries, so the cap met at S holds at every N <= S
+_EINSUM_PLANS: dict[tuple[str, int, int], list] = {}
 
 
 def _gaussian_integers(values) -> tuple[list, int]:
@@ -862,38 +865,25 @@ def _integer_tensor(a: BMatrix) -> tuple[np.ndarray, int, int]:
 
 
 def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseElement:
-    """The constrained sum as one einsum over the factors' integer tensors.
+    """The constrained sum as one einsum spec over the factors' integer
+    tensors, run by its compiled plan (_einsum_plan).
 
     Factor k carries the subscripts (block of slot 2k-1, block of slot 2k,
     chain k-1, chain k); contracting the chain multiplies the d x d blocks in
     order, and repeating a block's subscript imposes its index equalities.
-    Any entry of the total or of an intermediate, in any contraction order,
-    sums at most N^blocks (2d)^(m+1) products of one entry per factor, so
+    Any value the plan forms (an entry of the total or of an intermediate, a
+    partial sum of a matmul or of a one-operand reduction) sums at most
+    N^blocks (2d)^(m+1) products of one entry per factor, so
     B = prod_k max(M_k, 1) N^blocks (2d)^(m+1) bounds it: the exact sum runs
     on int64 if B < 2^63, else on Python ints.  The scales divide out last.
     """
-    m = len(lifts)
-    nblocks = len(constraint.blocks)
-    block_of = {s: bid for bid, block in enumerate(constraint.blocks) for s in block}
-    chain = _SUBSCRIPTS[nblocks:nblocks + m + 1]
-    terms = [
-        _SUBSCRIPTS[block_of[2 * k - 1]] + _SUBSCRIPTS[block_of[2 * k]]
-        + chain[k - 1] + chain[k]
-        for k in range(1, m + 1)
-    ]
-    spec = ",".join(terms) + "->" + chain[0] + chain[m]
+    m, nblocks = len(lifts), len(constraint.blocks)
     tensors = [tensor for tensor, _, _ in lifts]
-    key = (spec, tuple(tensor.shape for tensor in tensors))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = _EINSUM_PATHS[key] = np.einsum_path(
-            spec, *tensors, optimize=("greedy", _EINSUM_MEMORY)
-        )[0]
     d, n = algebra.dim, tensors[0].shape[0]
     bound = math.prod(max(b, 1) for _, _, b in lifts) * n**nblocks * (2 * d) ** (m + 1)
     if bound >= 2**63:
         tensors = [tensor.astype(object) for tensor in tensors]
-    total = np.einsum(spec, *tensors, optimize=path)
+    total = _contract(_tensor_spec(constraint, m), tensors, d)
     denominator = math.prod(scale for _, scale, _ in lifts)
     return algebra.from_components({
         (a, b): GaussianRational(
@@ -902,6 +892,103 @@ def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseEle
         for a in range(d)
         for b in range(d)
     })
+
+
+def _tensor_spec(constraint: Partition, m: int) -> str:
+    """The einsum spec of _tensor_sum for m factors."""
+    nblocks = len(constraint.blocks)
+    block_of = {s: bid for bid, block in enumerate(constraint.blocks) for s in block}
+    chain = _SUBSCRIPTS[nblocks:nblocks + m + 1]
+    terms = [
+        _SUBSCRIPTS[block_of[2 * k - 1]] + _SUBSCRIPTS[block_of[2 * k]]
+        + chain[k - 1] + chain[k]
+        for k in range(1, m + 1)
+    ]
+    return ",".join(terms) + "->" + chain[0] + chain[m]
+
+
+def _contract(spec: str, tensors: list, d: int) -> np.ndarray:
+    """spec over (N, N, 2d, 2d) tensors, run by its compiled plan."""
+    tensors = list(tensors)
+    for positions, step in _einsum_plan(spec, d, max(tensors[0].shape[0], MAX_N)):
+        picked = [tensors.pop(i) for i in positions]
+        tensors.append(step(*picked))
+    return tensors[0]
+
+
+def _einsum_plan(spec: str, d: int, size: int) -> list:
+    """The steps that contract spec over (N, N, 2d, 2d) tensors, N <= size.
+
+    The greedy path is searched once per key, on zero-stride probes of the
+    largest shape.  Each step pops the operands at its positions, as
+    einsum's path does, and appends its result: a pairwise step runs as
+    _matmul_step, an n-ary step (greedy's fallback when the cap binds, or
+    the one operand of a one-factor sum) and the final transpose as one
+    einsum without path optimization.
+    """
+    key = (spec, d, size)
+    plan = _EINSUM_PLANS.get(key)
+    if plan is not None:
+        return plan
+    inputs, output = spec.split("->")
+    terms = inputs.split(",")
+    probe = np.broadcast_to(np.zeros((), np.int64), (size, size, 2 * d, 2 * d))
+    path = np.einsum_path(
+        spec, *[probe] * len(terms), optimize=("greedy", _EINSUM_MEMORY)
+    )[0][1:]
+    plan = []
+    for contract in path:
+        positions = sorted(contract, reverse=True)
+        picked = [terms.pop(i) for i in positions]
+        later = set("".join(terms) + output)
+        if len(picked) == 2:
+            step, result = _matmul_step(*picked, later)
+        else:
+            result = _kept(",".join(picked), later) if terms else output
+            step = _einsum_step(",".join(picked) + "->" + result)
+        plan.append((positions, step))
+        terms.append(result)
+    if terms[0] != output:
+        plan.append(((0,), _einsum_step(f"{terms[0]}->{output}")))
+    _EINSUM_PLANS[key] = plan
+    return plan
+
+
+def _kept(subscripts: str, later: set) -> str:
+    """The distinct letters of subscripts that a later term needs, in order."""
+    return "".join(dict.fromkeys(c for c in subscripts if c in later))
+
+
+def _einsum_step(spec: str):
+    return lambda *operands: np.einsum(spec, *operands, optimize=False)
+
+
+def _matmul_step(ta: str, tb: str, later: set):
+    """A pairwise step as one matmul, and its result's subscripts.
+
+    A one-operand einsum reduces each operand to its (batch, free,
+    contracted) axes, taking the diagonals of repeated subscripts and summing
+    the axes that no later term needs; batch subscripts are shared and
+    needed later, contracted ones shared and not needed.
+    """
+    shared = set(ta) & set(tb)
+    batch = _kept(ta, shared & later)
+    inner = _kept(ta, shared - later)
+    free_a = _kept(ta, later - shared)
+    free_b = _kept(tb, later - shared)
+    prep_a = _einsum_step(f"{ta}->{batch}{free_a}{inner}")
+    prep_b = _einsum_step(f"{tb}->{batch}{inner}{free_b}")
+    nb, na, nc = len(batch), len(free_a), len(inner)
+
+    def step(a, b):
+        a, b = prep_a(a), prep_b(b)
+        shape = a.shape[:nb + na] + b.shape[nb + nc:]
+        lead = math.prod(a.shape[:nb])
+        a = a.reshape(lead, math.prod(a.shape[nb:nb + na]), -1)
+        b = b.reshape(lead, -1, math.prod(b.shape[nb + nc:]))
+        return np.matmul(a, b).reshape(shape)
+
+    return step, batch + free_a + free_b
 
 
 def _diagram_terms(a: BMatrix) -> dict | None:

@@ -21,6 +21,7 @@ from qhaar.freeness import (
     Scenario,
     UnitaryLetter,
     WordToken,
+    _lhs_terms,
     _limit_terms,
     _slot_partition,
     convergence_report,
@@ -257,6 +258,54 @@ class TestExactEvaluation:
         w = counterexample_word(2, "classical")
         with pytest.raises(ZeroDivisionError):
             lhs_exact(w, 2)
+
+
+class TestSumMemo:
+    """A word computes the constrained sum of each slot partition once, for
+    lhs_exact and the limit formula together."""
+
+    def test_a_dense_row_sums_each_slot_partition_once(self, monkeypatch):
+        word = load_scenario(SCENARIO_DIR / "dense_circulant.json").word_at(4)
+        n = word.size
+        terms = [c for c, w in _lhs_terms(word) + list(_limit_terms(word)) if w.evaluate(n)]
+        calls, tensor_sum = [], opvalued._tensor_sum
+
+        def counted(constraint, lifts, algebra):
+            calls.append(constraint)
+            return tensor_sum(constraint, lifts, algebra)
+
+        monkeypatch.setattr(opvalued, "_tensor_sum", counted)
+        lhs_exact(word, n)
+        limit_formula(word.as_quantum())
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(terms)
+        assert len(calls) < len(terms)
+
+    def test_values_do_not_depend_on_call_order(self):
+        scenario = load_scenario(SCENARIO_DIR / "diagonal_pattern.json")
+        assert "sums" not in {f.name for f in dataclasses.fields(MixedWord)}
+        for n in (3, 5):
+            first, second = scenario.word_at(n), scenario.word_at(n)
+            lhs, limit = lhs_exact(first, n), limit_formula(first)
+            assert limit_formula(second) == limit
+            assert lhs_exact(second, n) == lhs
+            assert first == second
+            # fresh word objects start with no sums
+            assert lhs_exact(dataclasses.replace(first), n) == lhs
+            assert limit_formula(dataclasses.replace(second)) == limit
+
+    def test_quantum_twin_shares_the_memo(self):
+        rng = random.Random(8)
+        n = 3
+        word = MixedWord.rotated(
+            "classical",
+            [rand_matrix(rng, n) for _ in range(2)],
+            [rand_matrix(rng, n) for _ in range(2)],
+        )
+        lhs_exact(word, n)
+        twin = word.as_quantum()
+        assert word.sums and twin.sums is word.sums
+        assert limit_formula(twin) == limit_formula(MixedWord("quantum", word.letters))
 
 
 class TestLimitFormulas:

@@ -500,15 +500,19 @@ def big_bmatrix(rng, alg, size, magnitude):
     return BMatrix(alg, [[cell() for _ in range(size)] for _ in range(size)])
 
 
-def einsum_dtypes(monkeypatch) -> list:
-    """The set of operand dtypes of each np.einsum call from now on."""
-    seen, contract = [], np.einsum
+def contraction_dtypes(monkeypatch) -> list:
+    """The set of operand dtypes of each np.einsum and np.matmul call from
+    now on: the calls of a dense sum's compiled plan."""
+    seen = []
 
-    def spy(spec, *operands, **kwargs):
-        seen.append({op.dtype for op in operands})
-        return contract(spec, *operands, **kwargs)
+    def spy(call):
+        def spied(*args, **kwargs):
+            seen.append({op.dtype for op in args if isinstance(op, np.ndarray)})
+            return call(*args, **kwargs)
+        return spied
 
-    monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(np, "einsum", spy(np.einsum))
+    monkeypatch.setattr(np, "matmul", spy(np.matmul))
     return seen
 
 
@@ -604,7 +608,7 @@ class TestTensorSum:
     def test_int64_guard_on_either_side_of_the_bound(self, monkeypatch):
         # entries near 2^17 and 2^18 put B = prod_k max(M_k, 1) N^blocks
         # (2d)^(m+1) below 2^63 for some slot partitions and above it for others
-        seen = einsum_dtypes(monkeypatch)
+        seen = contraction_dtypes(monkeypatch)
         rng = random.Random(44)
         n, m = 2, 3
         routes = set()
@@ -618,14 +622,15 @@ class TestTensorSum:
                 route = INT64 if bound < 2**63 else OBJECT
                 seen.clear()
                 assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
-                assert seen == [{route}]
+                # every call of the sum's plan runs on the route's dtype
+                assert seen and all(dtypes == {route} for dtypes in seen)
                 routes.add(route)
         assert routes == {INT64, OBJECT}
 
     def test_object_route_for_large_entries(self, monkeypatch):
         # entries near 2^40 fit int64 one by one, but products of two do not;
         # an entry of 2^70 does not fit at all and lifts to Python ints
-        seen = einsum_dtypes(monkeypatch)
+        seen = contraction_dtypes(monkeypatch)
         rng = random.Random(45)
         alg = DenseAlgebra(2)
         args = [big_bmatrix(rng, alg, 2, 2**40) for _ in range(2)]
@@ -635,40 +640,123 @@ class TestTensorSum:
             for constraint in enumerate_family("all", 4):
                 seen.clear()
                 assert constrained_sum(constraint, factors) == _scan_sum(constraint, factors)
-                assert seen == [{OBJECT}]
+                assert seen and all(dtypes == {OBJECT} for dtypes in seen)
 
     def test_shipped_dense_scenarios_run_on_int64(self, monkeypatch):
         # the fast route must not go dead: every contraction of both dense
         # reports at N = 2..8 runs on int64
-        seen = einsum_dtypes(monkeypatch)
+        seen = contraction_dtypes(monkeypatch)
         for name in ("dense_circulant", "diagonal_pattern"):
             load_scenario(SCENARIO_DIR / f"{name}.json").report(n_range=range(2, 9))
         assert seen
         assert all(dtypes == {INT64} for dtypes in seen)
 
-    def test_each_contraction_path_is_searched_once(self, monkeypatch):
-        # the sums of lhs_exact and the limit formula repeat their (spec,
-        # operand shapes) keys, and the greedy path search runs once per key
-        monkeypatch.setattr(opvalued, "_EINSUM_PATHS", {})
-        searched, contracted = [], []
-        search, contract = np.einsum_path, np.einsum
+    def test_each_spec_is_searched_once(self, monkeypatch):
+        # the greedy path search runs once per spec and d, on probes of size
+        # MAX_N, not once per size: both dense reports at N = 2..8 search as
+        # many paths as they have distinct specs
+        from qhaar import freeness
+
+        monkeypatch.setattr(opvalued, "_EINSUM_PLANS", {})
+        searched, specs = [], set()
+        search, summed = np.einsum_path, freeness.constrained_sum
 
         def counted_search(spec, *operands, **kwargs):
-            searched.append((spec, tuple(op.shape for op in operands)))
+            searched.append(spec)
+            assert {op.shape[0] for op in operands} == {opvalued.MAX_N}
             return search(spec, *operands, **kwargs)
 
-        def counted_contract(spec, *operands, **kwargs):
-            contracted.append(spec)
-            return contract(spec, *operands, **kwargs)
+        def recorded_sum(constraint, factors):
+            specs.add(opvalued._tensor_spec(constraint, len(factors)))
+            return summed(constraint, factors)
 
         monkeypatch.setattr(np, "einsum_path", counted_search)
-        monkeypatch.setattr(np, "einsum", counted_contract)
-        word = load_scenario(SCENARIO_DIR / "dense_circulant.json").word_at(3)
-        lhs_exact(word, word.size)
-        limit_formula(word)
-        assert searched
-        assert len(searched) == len(set(searched))
-        assert len(contracted) > len(searched)
+        monkeypatch.setattr(freeness, "constrained_sum", recorded_sum)
+        for name in ("dense_circulant", "diagonal_pattern"):
+            load_scenario(SCENARIO_DIR / f"{name}.json").report(n_range=range(2, 9))
+        assert specs
+        assert sorted(searched) == sorted(specs)
+
+
+def plan_tensors(rng, d: int, n: int, m: int, dtype=np.int64) -> list:
+    """m random (n, n, 2d, 2d) tensors with small integer entries."""
+    return [
+        np.array(
+            [rng.randint(-3, 3) for _ in range(n * n * 4 * d * d)], dtype=dtype
+        ).reshape(n, n, 2 * d, 2 * d)
+        for _ in range(m)
+    ]
+
+
+def assert_plan_matches(constraint: Partition, tensors: list, d: int):
+    """The compiled plan equals einsum without path optimization."""
+    spec = opvalued._tensor_spec(constraint, len(tensors))
+    total = opvalued._contract(spec, tensors, d)
+    expected = np.einsum(spec, *tensors, optimize=False)
+    assert total.shape == expected.shape
+    assert total.tolist() == expected.tolist()
+
+
+class TestEinsumPlan:
+    """Edge cases of the compiled contraction plans of the dense route."""
+
+    def test_one_factor_sum(self):
+        # a single-operand path, [(0,)]: the sum is one einsum
+        alg = DenseAlgebra(2)
+        a = rand_bmatrix(random.Random(46), alg, 2)
+        constraint = Partition.full(2)
+        assert opvalued._tensor_spec(constraint, 1) == "aabc->bc"
+        assert constrained_sum(constraint, [a]) == _scan_sum(constraint, [a])
+        assert_plan_matches(constraint, [a.lift()[0]], 2)
+
+    def test_repeated_subscripts(self):
+        # a block holding both slots of a factor repeats its subscript in
+        # that factor's term; the plan takes the diagonal before the matmul
+        rng = random.Random(47)
+        alg = DenseAlgebra(2)
+        args = [rand_sparse_bmatrix(rng, alg, 3) for _ in range(3)]
+        repeated = 0
+        for constraint in enumerate_family("all", 6):
+            terms = opvalued._tensor_spec(constraint, 3).split("->")[0].split(",")
+            if any(len(set(term)) < len(term) for term in terms):
+                repeated += 1
+                assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
+                assert_plan_matches(constraint, [a.lift()[0] for a in args], 2)
+        assert repeated
+
+    def test_n_ary_steps_under_a_tiny_cap(self, monkeypatch):
+        # with no pairwise intermediate under the cap, greedy contracts the
+        # rest in one n-ary step, which runs as one einsum
+        monkeypatch.setattr(opvalued, "_EINSUM_PLANS", {})
+        monkeypatch.setattr(opvalued, "_EINSUM_MEMORY", 2)
+        rng = random.Random(48)
+        alg = DenseAlgebra(1)
+        args = [rand_sparse_bmatrix(rng, alg, 2) for _ in range(3)]
+        for constraint in enumerate_family("all", 6):
+            assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
+            assert_plan_matches(constraint, plan_tensors(rng, 1, 2, 3), 1)
+        arity = {len(pos) for plan in opvalued._EINSUM_PLANS.values() for pos, _ in plan}
+        assert max(arity) > 2
+
+    def test_object_route(self):
+        # Python ints past 2^63 go through the same steps
+        rng = random.Random(49)
+        tensors = plan_tensors(rng, 2, 2, 3, dtype=object)
+        tensors = [t * 2**70 for t in tensors]
+        for constraint in enumerate_family("all", 6):
+            assert_plan_matches(constraint, tensors, 2)
+
+    def test_size_above_max_n_has_its_own_plan(self, monkeypatch):
+        monkeypatch.setattr(opvalued, "_EINSUM_PLANS", {})
+        rng = random.Random(50)
+        n = opvalued.MAX_N + 1
+        constraint = Partition.from_text("{{1,4},{2,3}}")
+        spec = opvalued._tensor_spec(constraint, 2)
+        for size in (3, n):
+            assert_plan_matches(constraint, plan_tensors(rng, 1, size, 2), 1)
+        assert set(opvalued._EINSUM_PLANS) == {(spec, 1, opvalued.MAX_N), (spec, 1, n)}
+        args = [rand_sparse_bmatrix(rng, DenseAlgebra(1), n) for _ in range(2)]
+        assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
 
 
 def rand_diagrams(rng, n: int, terms: int, max_blocks: int = 3) -> list:
