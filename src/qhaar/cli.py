@@ -64,6 +64,11 @@ def _parse_eps(text: str) -> SignPattern:
         raise UsageError(f"--eps: {exc}") from exc
 
 
+def _check_m(args, eps: SignPattern) -> None:
+    if args.m is not None and 2 * args.m != len(eps):
+        raise UsageError("--m: inconsistent with --eps; pairings need len(eps) = 2m")
+
+
 def _require_flavor(flavor: str) -> str:
     if flavor not in FLAVORS:
         raise UsageError(f"--flavor: must be one of {', '.join(FLAVORS)}")
@@ -93,8 +98,7 @@ def _cmd_partitions(args):
         eps = _parse_eps(args.eps)
         flavor = _require_flavor(args.flavor)
         kind = FLAVORS[flavor].pairings
-        if args.m is not None and 2 * args.m != len(eps):
-            raise UsageError("--m: inconsistent with --eps; pairings need len(eps) = 2m")
+        _check_m(args, eps)
         params = {"flavor": flavor, "eps": str(eps)}
         try:
             family = enumerate_family(kind, len(eps), eps)
@@ -138,6 +142,7 @@ def _cmd_moment(args):
     flavor = _require_flavor(args.flavor)
     if args.eps is not None:
         eps = _parse_eps(args.eps)
+        _check_m(args, eps)
     elif args.m is not None:
         if args.m < 1:
             raise UsageError("--m: must be positive")

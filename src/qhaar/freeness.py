@@ -46,9 +46,7 @@ from .opvalued import (
 from .partitions import (
     Partition,
     SignPattern,
-    _find,
     _signed_catalan,
-    _union,
     enumerate_family,
     fatten,
     interleave,
@@ -206,43 +204,20 @@ def _slot_partition(word: MixedWord, p: Partition, q: Partition) -> Partition:
     """Translate a pairing pair into equalities between factor index slots.
 
     Tracing the word introduces one summation index per adjacency: b_t feeds
-    the t-th unitary letter from the left, c_t leaves it to the right.  Rows
-    of generator letters come from p, columns from q; each variable occupies
-    the matching row or column slot of the factor list (lead included), and
-    the trace index closes the word.
+    the t-th unitary letter from the left, c_t leaves it to the right.  Factor
+    t sits on (c_t, b_(t+1)) and a lead on (b_(k+1), b_1), k letters in all:
+    b_(k+1) closes the trace, and is b_1 itself without a lead.  The row of letter t (b_t for U,
+    c_t for U*) carries t's block of p, its column t's block of q, and the
+    slot partition is the kernel of these labels.
     """
-    m2 = len(word.letters)
-    has_lead = word.lead is not None
-    off = 2 if has_lead else 0
-    nslots = off + 2 * m2
-    parent = list(range(nslots + 1))
-
-    def b_slot(t: int) -> int:
-        if t == 1:
-            return 2 if has_lead else off + 2 * m2
-        return off + 2 * (t - 1)
-
-    def c_slot(t: int) -> int:
-        return off + 2 * t - 1
-
-    signs = word.signs()
-
-    def i_slot(t: int) -> int:
-        return b_slot(t) if signs[t - 1] == "1" else c_slot(t)
-
-    def j_slot(t: int) -> int:
-        return c_slot(t) if signs[t - 1] == "1" else b_slot(t)
-
-    for block in p.blocks:
-        for t in block[1:]:
-            _union(parent, i_slot(block[0]), i_slot(t))
-    for block in q.blocks:
-        for t in block[1:]:
-            _union(parent, j_slot(block[0]), j_slot(t))
-    if has_lead:
-        # the trace index also appears as the lead's row slot
-        _union(parent, 1, off + 2 * m2)
-    return kernel(_find(parent, slot) for slot in range(1, nslots + 1))
+    ip, iq, off = p.block_index(), q.block_index(), len(p.blocks)
+    labels = []  # of b_1 c_1 b_2 c_2 ...
+    for t, sign in enumerate(word.signs(), start=1):
+        row, col = ip[t], off + iq[t]
+        labels.extend((row, col) if sign == "1" else (col, row))
+    if word.lead is None:
+        return kernel(labels[1:] + labels[:1])
+    return kernel([-1, *labels, -1])
 
 
 # the slot partition of a word without unitary letters: tr of its lead
@@ -584,7 +559,7 @@ class Scenario:
     families: dict
     word: tuple
     n_range: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         flavor_of(self.flavor)
@@ -1015,7 +990,7 @@ class InfinitesimalPair:
     """
 
     scenario: Scenario
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "InfinitesimalPair":

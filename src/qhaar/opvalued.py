@@ -283,7 +283,7 @@ class MatrixUnitElement:
         if self._terms is None:
             self._terms = {}
             for kap, g in self.classes.items():
-                block_of = {pos: t for t, block in enumerate(kap.blocks) for pos in block}
+                block_of = kap.block_index()
                 for vals in itertools.permutations(range(1, self.n + 1), len(kap.blocks)):
                     self._terms[tuple(vals[block_of[pos]] for pos in range(1, 5))] = g
         return self._terms
@@ -682,11 +682,9 @@ class DiagramMatrix(BMatrix):
             cells = [[{} for _ in range(n)] for _ in range(n)]
             for (pi, power), d in self.terms.items():
                 d = d * Fraction(n) ** power
+                block_of = pi.block_index()
                 for values in itertools.product(range(1, n + 1), repeat=len(pi.blocks)):
-                    legs = [0] * 6
-                    for block, v in zip(pi.blocks, values):
-                        for leg in block:
-                            legs[leg - 1] = v
+                    legs = [values[block_of[leg]] for leg in range(1, 7)]
                     cell = cells[legs[0] - 1][legs[1] - 1]
                     quad = tuple(legs[2:])
                     cell[quad] = cell.get(quad, _ZERO) + d
@@ -897,7 +895,7 @@ def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseEle
 def _tensor_spec(constraint: Partition, m: int) -> str:
     """The einsum spec of _tensor_sum for m factors."""
     nblocks = len(constraint.blocks)
-    block_of = {s: bid for bid, block in enumerate(constraint.blocks) for s in block}
+    block_of = constraint.block_index()
     chain = _SUBSCRIPTS[nblocks:nblocks + m + 1]
     terms = [
         _SUBSCRIPTS[block_of[2 * k - 1]] + _SUBSCRIPTS[block_of[2 * k]]
@@ -1148,24 +1146,12 @@ def _scan_sum(constraint: Partition, args):
     m = len(args)
     algebra = args[0].algebra
     n = args[0].size
-    block_of = {}
-    first_slot = {}
-    last_slot = {}
-    for bid, block in enumerate(constraint.blocks):
-        for s in block:
-            block_of[s] = bid
-        first_slot[bid] = block[0]
-        last_slot[bid] = block[-1]
+    block_of = constraint.block_index()
     # ordered layout of the blocks still in scope after each factor; state
     # keys are index tuples aligned to these layouts, so no sorting happens
     # in the inner loop and merged states stay deterministic
-    nblocks = len(constraint.blocks)
     open_after = [
-        tuple(
-            bid
-            for bid in range(nblocks)
-            if first_slot[bid] <= 2 * k < last_slot[bid]
-        )
+        tuple(bid for bid, block in enumerate(constraint.blocks) if block[0] <= 2 * k < block[-1])
         for k in range(m + 1)
     ]
     states: dict[tuple, object] = {(): None}

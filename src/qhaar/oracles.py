@@ -25,7 +25,6 @@ from .weingarten import (
     EntryWord,
     WeingartenTable,
     _as_pattern,
-    _refines_kernel,
     build_table,
 )
 
@@ -52,8 +51,9 @@ def haar_moment(table: WeingartenTable, i, j) -> RationalFunction:
         raise ValueError(f"index tuples must have length {k}")
     if any(x < 1 for x in i + j):
         raise ValueError("matrix indices start at 1")
-    row_ok = [p for p in table.family if _refines_kernel(p, i)]
-    col_ok = [s for s in table.family if _refines_kernel(s, j)]
+    ker_i, ker_j = kernel(i), kernel(j)
+    row_ok = [p for p in table.family if leq(p, ker_i)]
+    col_ok = [s for s in table.family if leq(s, ker_j)]
     return sum((table.wg_entry(p, s) for p in row_ok for s in col_ok), RationalFunction.zero())
 
 

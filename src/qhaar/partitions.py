@@ -323,8 +323,8 @@ def _fatten(p: Partition) -> Partition:
 def fatten_extended(p: Partition) -> Partition:
     """The fattening rule applied verbatim to an arbitrary partition.
 
-    Used by the norm-bound machinery, where constraints built this way from
-    crossing partitions still make sense; fatten itself insists on NC input.
+    fatten is its noncrossing-checked, cached form and its only caller in
+    the package; the norm-bound tests use it directly on crossing partitions.
     """
     # point 2y carries y, and point 2y - 1 the element before y in its block
     # (cyclically), so each pair is labelled by its even point's element

@@ -236,13 +236,6 @@ def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     return table
 
 
-def _refines_kernel(pairing: Partition, values: tuple[int, ...]) -> bool:
-    return all(
-        all(values[v - 1] == values[block[0] - 1] for v in block[1:])
-        for block in pairing.blocks
-    )
-
-
 _WEIGHT_CACHE: dict = {}
 _CUMULANT_CACHE: dict[Partition, dict[Partition, int]] = {}
 
@@ -345,10 +338,10 @@ def word_moment(word: EntryWord, flavor: str = "quantum") -> RationalFunction:
         return RationalFunction.one()
     gen = word.generator_form()
     weights = _pair_weights(flavor, SignPattern(gen.signs()), gen.labels())
-    rows, cols = gen.rows(), gen.cols()
+    ker_i, ker_j = kernel(gen.rows()), kernel(gen.cols())
     total = RationalFunction.zero()
     for (p, q), w in weights.items():
-        if _refines_kernel(p, rows) and _refines_kernel(q, cols):
+        if leq(p, ker_i) and leq(q, ker_j):
             total = total + w
     return total
 

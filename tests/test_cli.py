@@ -308,9 +308,14 @@ class TestPartitions:
         assert err == f"error: --m: {message}\n"
 
     def test_inconsistent_m_and_eps(self, capsys):
-        code, out, err = run(capsys, ["partitions", "--m", "2", "--eps", "1*1*1*"])
-        assert code == 2
-        assert "--m" in err
+        for command in ("partitions", "moment"):
+            for m, eps in (("2", "1*1*1*"), ("3", "1*")):
+                code, out, err = run(capsys, [command, "--m", m, "--eps", eps])
+                assert code == 2
+                assert out == ""
+                assert err == "error: --m: inconsistent with --eps; pairings need len(eps) = 2m\n"
+            code, out, err = run(capsys, [command, "--m", "2", "--eps", "1*1*"])
+            assert code == 0
 
 
 class TestWeingarten:

@@ -207,6 +207,15 @@ class TestExactEvaluation:
         w = MixedWord(flavor, letters, lead=mats[4])
         assert lhs_exact(w, n) == brute_force_moment(w, n)
 
+    @pytest.mark.parametrize("signs", ["*11**1", "1**1*1"])
+    def test_brute_force_six_letters_with_lead(self, signs):
+        # classical 6-letter words have a Weingarten pole at N = 2
+        rng = random.Random(37)
+        n = 2
+        letters = tuple(UnitaryLetter(1, s, rand_matrix(rng, n)) for s in signs)
+        w = MixedWord("quantum", letters, lead=rand_matrix(rng, n))
+        assert lhs_exact(w, n) == brute_force_moment(w, n)
+
     def test_brute_force_two_labels(self):
         rng = random.Random(19)
         n = 2
@@ -453,6 +462,14 @@ class TestScenarios:
             scn = load_scenario(SCENARIO_DIR / name)
             w = scn.word_at(scn.n_range[0])
             assert isinstance(w, MixedWord)
+
+    def test_equality_ignores_the_family_cache(self):
+        first = load_scenario(SCENARIO_DIR / "matrix_unit_flip.json")
+        second = load_scenario(SCENARIO_DIR / "matrix_unit_flip.json")
+        assert first == second
+        first.word_at(4)
+        assert first._cache and not second._cache
+        assert first == second
 
     def test_flavor_validation(self):
         with pytest.raises(ValueError):
@@ -782,6 +799,13 @@ class TestLhsFunction:
 
 
 class TestInfinitesimal:
+    def test_equality_ignores_the_moment_cache(self):
+        first, second = flip_infinitesimal_pair(), flip_infinitesimal_pair()
+        assert first == second
+        first.e_value([WordToken.plain("A")])
+        assert first._cache and not second._cache
+        assert first == second
+
     @pytest.mark.parametrize("degrees", [{"num": 8, "den": 8}, {"num": 1000000, "den": 0}])
     def test_degrees_key_is_ignored(self, monkeypatch, degrees):
         data = json.loads((SCENARIO_DIR / "infinitesimal_flip.json").read_text())
