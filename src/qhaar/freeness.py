@@ -56,7 +56,7 @@ from .partitions import (
     leq,
     mobius,
 )
-from .weingarten import FLAVORS, MULTI_LABEL_CAP, build_table, flavor_of
+from .weingarten import FLAVORS, build_table, flavor_of
 # bench/tracing.py counts and probes these two under qhaar.freeness
 from .weingarten import _WEIGHT_CACHE, _pair_weights
 
@@ -129,17 +129,17 @@ class MixedWord:
             raise ValueError("a word needs at least one letter or a lead matrix")
         if len(self.letters) % 2 == 1:
             raise ValueError("mixed words use an even number of unitary letters")
-        mats = self.all_factors()
-        first = mats[0]
-        if not isinstance(first, BMatrix):
-            raise TypeError("factors must be BMatrix instances")
         for let in self.letters:
             if not isinstance(let, UnitaryLetter):
                 raise TypeError("letters must be UnitaryLetter instances")
             if let.sign not in ("1", "*"):
                 raise ValueError("letter signs must be '1' or '*'")
-            if not isinstance(let.label, int) or let.label < 1:
+            if not isinstance(let.label, int) or isinstance(let.label, bool) or let.label < 1:
                 raise ValueError("unitary labels are integers starting at 1")
+        mats = self.all_factors()
+        first = mats[0]
+        if not isinstance(first, BMatrix):
+            raise TypeError("factors must be BMatrix instances")
         for mat in mats[1:]:
             if not isinstance(mat, BMatrix):
                 raise TypeError("factors must be BMatrix instances")
@@ -735,10 +735,6 @@ def load_scenario(source) -> Scenario:
         raise ValueError(
             f"word: {flavor} words have at most {record.cap} letters, got {len(word)}"
         )
-    if len(labels) > 1 and len(word) > MULTI_LABEL_CAP:
-        raise ValueError(
-            f"word: multi-label words have at most {MULTI_LABEL_CAP} letters, got {len(word)}"
-        )
     rng = data.get("n_range")
     if (
         not isinstance(rng, list)
@@ -1069,12 +1065,13 @@ def infinitesimal_check(pair: InfinitesimalPair, letters,
     product of centered letters equals the sum over positions of E of the
     word with that letter replaced by E' of it times the identity.  The
     overrides map positions to replacement E' patterns and exist so a
-    corrupted pair demonstrably fails.
+    corrupted pair demonstrably fails.  A realized word with more unitary
+    letters than the flavor's table cap fails in build_table.
     """
     letters = list(letters)
     k = len(letters)
-    if not 1 <= k <= 4:
-        raise ValueError("centered words use between 1 and 4 letters")
+    if not k:
+        raise ValueError("centered words use at least one letter")
     for t, (family, symbol) in enumerate(letters):
         if family not in ("rotated", "plain"):
             raise ValueError("letter families are 'rotated' or 'plain'")
@@ -1083,6 +1080,8 @@ def infinitesimal_check(pair: InfinitesimalPair, letters,
         if t and letters[t - 1][0] == family:
             raise ValueError("letters must alternate between the two families")
     overrides = dict(e_prime_overrides or {})
+    if not set(overrides) <= set(range(k)):
+        raise ValueError(f"e_prime_overrides keys are letter positions from 0 to {k - 1}")
     base = [WordToken(family, symbol=symbol) for family, symbol in letters]
     centers = [pair.e_value([tok]) for tok in base]
     primes = [

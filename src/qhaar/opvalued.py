@@ -32,6 +32,7 @@ import itertools
 import math
 import operator
 import string
+import sys
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -825,13 +826,9 @@ def loop_polynomials(constraint: Partition, factors) -> dict:
 MAX_N = 16
 # einsum names its axes by single ASCII letters
 _SUBSCRIPTS = string.ascii_letters
-# intermediate size cap for einsum's greedy path; numpy's default (the size
-# of the largest input) forces the naive contraction on cyclic slot patterns
-_EINSUM_MEMORY = 10**6
-# compiled contraction plans by (spec, d, S) with S = max(N, MAX_N): each
-# greedy path is searched once, on probes of size S; every intermediate has
-# N^k (2d)^j entries, so the cap met at S holds at every N <= S
-_EINSUM_PLANS: dict[tuple[str, int, int], list] = {}
+# compiled contraction plans by (spec, d): each greedy path is searched once,
+# on probes of size MAX_N, and serves every size
+_EINSUM_PLANS: dict[tuple[str, int], list] = {}
 
 
 def _gaussian_integers(values) -> tuple[list, int]:
@@ -908,42 +905,41 @@ def _tensor_spec(constraint: Partition, m: int) -> str:
 def _contract(spec: str, tensors: list, d: int) -> np.ndarray:
     """spec over (N, N, 2d, 2d) tensors, run by its compiled plan."""
     tensors = list(tensors)
-    for positions, step in _einsum_plan(spec, d, max(tensors[0].shape[0], MAX_N)):
+    for positions, step in _einsum_plan(spec, d):
         picked = [tensors.pop(i) for i in positions]
         tensors.append(step(*picked))
     return tensors[0]
 
 
-def _einsum_plan(spec: str, d: int, size: int) -> list:
-    """The steps that contract spec over (N, N, 2d, 2d) tensors, N <= size.
+def _einsum_plan(spec: str, d: int) -> list:
+    """The steps that contract spec over (N, N, 2d, 2d) tensors.
 
-    The greedy path is searched once per key, on zero-stride probes of the
-    largest shape.  Each step pops the operands at its positions, as
-    einsum's path does, and appends its result: a pairwise step runs as
-    _matmul_step, an n-ary step (greedy's fallback when the cap binds, or
-    the one operand of a one-factor sum) and the final transpose as one
-    einsum without path optimization.
+    The greedy path is searched once per key, on zero-stride probes of size
+    MAX_N, with no memory limit: numpy's default limit (the largest input)
+    falls back to one naive n-ary contraction on cyclic slot patterns.  Each
+    step pops the operands at its positions, as einsum's path does, and
+    appends its result: a pairwise step runs as _matmul_step, the one operand
+    of a one-factor word and the final transpose as one einsum without path
+    optimization.
     """
-    key = (spec, d, size)
+    key = (spec, d)
     plan = _EINSUM_PLANS.get(key)
     if plan is not None:
         return plan
     inputs, output = spec.split("->")
     terms = inputs.split(",")
-    probe = np.broadcast_to(np.zeros((), np.int64), (size, size, 2 * d, 2 * d))
+    probe = np.broadcast_to(np.zeros((), np.int64), (MAX_N, MAX_N, 2 * d, 2 * d))
     path = np.einsum_path(
-        spec, *[probe] * len(terms), optimize=("greedy", _EINSUM_MEMORY)
+        spec, *[probe] * len(terms), optimize=("greedy", sys.maxsize)
     )[0][1:]
     plan = []
     for contract in path:
         positions = sorted(contract, reverse=True)
         picked = [terms.pop(i) for i in positions]
-        later = set("".join(terms) + output)
-        if len(picked) == 2:
-            step, result = _matmul_step(*picked, later)
+        if len(picked) == 1:  # the one factor of a one-factor word
+            step, result = _einsum_step(f"{picked[0]}->{output}"), output
         else:
-            result = _kept(",".join(picked), later) if terms else output
-            step = _einsum_step(",".join(picked) + "->" + result)
+            step, result = _matmul_step(*picked, set("".join(terms) + output))
         plan.append((positions, step))
         terms.append(result)
     if terms[0] != output:

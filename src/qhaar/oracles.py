@@ -151,8 +151,6 @@ def free_product_moment(eps, labels, i, j) -> RationalFunction:
     k = len(eps)
     if not (len(labels) == len(i) == len(j) == k):
         raise ValueError("labels and index tuples must match the sign pattern length")
-    if k > 6:
-        raise ValueError("free product moments support at most 6 letters")
     table = build_table("quantum", eps)
     ker_l = kernel(labels)
     total = RationalFunction.zero()

@@ -48,7 +48,6 @@ __all__ = [
     "table_to_json",
 ]
 
-MULTI_LABEL_CAP = 6
 _SIGNS = ("1", "*")
 _KINDS = ("u", "adjoint")
 
@@ -293,11 +292,6 @@ def _pair_weights(flavor: str, eps: SignPattern, labels: tuple[int, ...]) -> dic
         if not flavor_of(flavor).free:
             raise NotImplementedError(
                 "multi-label words are only supported for the quantum flavor"
-            )
-        k = len(eps)
-        if k > MULTI_LABEL_CAP:
-            raise ValueError(
-                f"multi-label words support at most {MULTI_LABEL_CAP} letters, got {k}"
             )
         table = build_table(flavor, eps)
         c_omega = _cumulant_coefficients(ker_l)

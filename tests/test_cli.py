@@ -66,8 +66,8 @@ BAD_SCENARIOS = [
      "word: classical scenarios use one unitary label"),
     ("over-table-cap", {"flavor": "classical", "word": letters([1] * 8)},
      "word: classical words have at most 6 letters, got 8"),
-    ("multi-label-over-cap", {"word": letters([1, 2] * 4)},
-     "word: multi-label words have at most 6 letters, got 8"),
+    ("multi-label-over-cap", {"word": letters([1, 2] * 5)},
+     "word: quantum words have at most 8 letters, got 10"),
     ("entry-system-3", entry("E(3, i, j)"), "family A: system must be 1 or 2"),
     ("entry-index-out-of-range", entry("E(1, j, i + 1)"),
      "family A: matrix-unit indices out of range"),
@@ -490,6 +490,18 @@ class TestFreeness:
         lines = out.splitlines()
         assert lines[0] == "N,delta,N2_delta"
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "3", "4"]
+
+    @pytest.mark.parametrize("name", ["diagonal_pattern", "matrix_unit_flip"])
+    def test_eight_letter_two_label_scenario(self, capsys, tmp_path, name):
+        # the quantum table cap is the only letter limit of a multi-label word
+        data = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        word = letters([1] * 4 + [2] * 4, sorted(data["families"]) * 4)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**data, "word": word, "n_range": [2, 7]}))
+        code, payload = run_json(capsys, ["freeness", "--scenario", str(path)])
+        assert code == 0
+        assert payload["verdicts"]["verdict"] is True
+        assert payload["results"]["rows"][0]["delta"] > 0
 
     def test_missing_scenario_flag(self, capsys):
         code, out, err = run(capsys, ["freeness"])

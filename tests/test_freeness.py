@@ -134,6 +134,18 @@ class TestMixedWord:
         with pytest.raises(ValueError):
             MixedWord("quantum", ())
 
+    def test_tuple_letters_rejected(self):
+        # the letter check runs before the factors are read
+        a = rand_matrix(random.Random(0), 2)
+        with pytest.raises(TypeError, match="UnitaryLetter"):
+            MixedWord("quantum", ((1, "1", a), (1, "*", a)))
+
+    def test_label_true_rejected(self):
+        # bool is an int subclass; load_scenario refuses it too (label-true)
+        a = rand_matrix(random.Random(0), 2)
+        with pytest.raises(ValueError, match="labels are integers"):
+            MixedWord("quantum", (UnitaryLetter(True, "1", a), UnitaryLetter(1, "*", a)))
+
     def test_mismatched_sizes_rejected(self):
         rng = random.Random(0)
         a, b = rand_matrix(rng, 2), rand_matrix(rng, 3)
@@ -899,6 +911,37 @@ class TestInfinitesimal:
             infinitesimal_check(pair, [])
         with pytest.raises(ValueError):
             infinitesimal_check(pair, [("plain", "C")])
+
+    @pytest.mark.parametrize("key", [1, -1])
+    def test_override_outside_the_word_rejected(self, key):
+        # an ignored override would make a negative control test nothing
+        pair = flip_infinitesimal_pair()
+        bad = pair.one_pattern()
+        with pytest.raises(ValueError, match="e_prime_overrides"):
+            infinitesimal_check(pair, [("plain", "B")], e_prime_overrides={key: bad})
+
+    @pytest.mark.parametrize("plain, rotated", [("A", "B"), ("B", "A")])
+    def test_seven_letter_words_split_the_flavors(self, plain, rotated):
+        # (plain, rotated)^3 plain: six unitary letters, within both caps; the
+        # product rule holds for the quantum flip and fails for the classical
+        # one, whose centred word still has E = 0
+        data = json.loads((SCENARIO_DIR / "infinitesimal_flip.json").read_text())
+        letters = [("plain", plain), ("rotated", rotated)] * 3 + [("plain", plain)]
+        for flavor, holds in (("quantum", True), ("classical", False)):
+            pair = InfinitesimalPair.from_scenario(load_scenario({**data, "flavor": flavor}))
+            assert infinitesimal_check(pair, letters) is holds
+            tokens = [WordToken(family, symbol=symbol) for family, symbol in letters]
+            centered = [tok._replace(center=pair.e_value([tok])) for tok in tokens]
+            assert pair.e_value(centered).is_zero()
+
+    def test_the_table_cap_limits_the_letters(self):
+        # four rotated letters realize eight unitary letters, the quantum
+        # cap; a fifth fails in build_table
+        pair = flip_infinitesimal_pair()
+        letters = [("rotated", "A"), ("plain", "B")] * 4 + [("rotated", "A")]
+        assert infinitesimal_check(pair, letters[:8])
+        with pytest.raises(ValueError, match="quantum tables support at most 8 letters, got 10"):
+            infinitesimal_check(pair, letters)
 
 
 class TestDerivedPartitions:

@@ -15,6 +15,7 @@ from qhaar.freeness import (
     MixedWord,
     UnitaryLetter,
     _finite_dim_spec,
+    _limit_terms,
     _slot_partition,
     counterexample_word,
     lhs_exact,
@@ -585,6 +586,24 @@ class TestTensorSum:
         for d, n in ((1, 3), (2, 3), (3, 2)):
             assert_route_matches_scan(_finite_dim_spec(d).word_at(n))
 
+    def test_dim_four_six_letter_word(self):
+        # the largest dense algebra a scenario may declare; a memory cap on
+        # the path search once made this word a naive contraction
+        def cell(seed):
+            return [[str((seed * 7 + 3 * r + 5 * c) % 5 - 2) for c in range(4)] for r in range(4)]
+
+        scenario = load_scenario({
+            "flavor": "quantum",
+            "algebra": {"kind": "dense", "dim": 4},
+            "families": {
+                "A": {"constructor": "circulant", "coefficients": [cell(1), cell(2)]},
+                "B": {"constructor": "diagonal_pattern", "cells": [cell(3), cell(4), cell(5)]},
+            },
+            "word": [{"label": 1, "sign": "1*"[t % 2], "factor": "AB"[t % 2]} for t in range(6)],
+            "n_range": [2, 16],
+        })
+        assert_route_matches_scan(scenario.word_at(2))
+
     @pytest.mark.parametrize(
         "m, refused", [(18, "_tensor_sum"), (17, "_scan_sum")], ids=["55-axes", "52-axes"]
     )
@@ -697,6 +716,26 @@ def assert_plan_matches(constraint: Partition, tensors: list, d: int):
     assert total.tolist() == expected.tolist()
 
 
+def admitted_specs(flavor: str, k: int) -> set:
+    """The einsum spec of every slot partition of a dense k-letter word of
+    the flavor: each pairing pair of lhs_exact, with and without a lead, and
+    each term of limit_formula."""
+    a = BMatrix.zero(DenseAlgebra(1), 1)
+    specs = set()
+    for signs in itertools.product("1*", repeat=k):
+        if signs.count("1") != k // 2:
+            continue
+        letters = tuple(UnitaryLetter(1, sign, a) for sign in signs)
+        for lead in (None, a):
+            word = MixedWord(flavor, letters, lead)
+            m = len(word.all_factors())
+            specs.update(opvalued._tensor_spec(c, m) for c in slot_partitions(word))
+        if flavor == "quantum":
+            terms = _limit_terms(MixedWord(flavor, letters))
+            specs.update(opvalued._tensor_spec(tau, k) for tau, _ in terms)
+    return specs
+
+
 class TestEinsumPlan:
     """Edge cases of the compiled contraction plans of the dense route."""
 
@@ -724,19 +763,38 @@ class TestEinsumPlan:
                 assert_plan_matches(constraint, [a.lift()[0] for a in args], 2)
         assert repeated
 
-    def test_n_ary_steps_under_a_tiny_cap(self, monkeypatch):
-        # with no pairwise intermediate under the cap, greedy contracts the
-        # rest in one n-ary step, which runs as one einsum
+    def test_every_step_is_pairwise_on_six_slots(self, monkeypatch):
+        # the greedy search has no memory limit, so no step contracts more
+        # than two operands, cyclic slot patterns included
         monkeypatch.setattr(opvalued, "_EINSUM_PLANS", {})
-        monkeypatch.setattr(opvalued, "_EINSUM_MEMORY", 2)
         rng = random.Random(48)
-        alg = DenseAlgebra(1)
-        args = [rand_sparse_bmatrix(rng, alg, 2) for _ in range(3)]
-        for constraint in enumerate_family("all", 6):
-            assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
-            assert_plan_matches(constraint, plan_tensors(rng, 1, 2, 3), 1)
+        for d in (1, 2):
+            alg = DenseAlgebra(d)
+            args = [rand_sparse_bmatrix(rng, alg, 2) for _ in range(3)]
+            for constraint in enumerate_family("all", 6):
+                assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
+                assert_plan_matches(constraint, plan_tensors(rng, d, 2, 3), d)
         arity = {len(pos) for plan in opvalued._EINSUM_PLANS.values() for pos, _ in plan}
-        assert max(arity) > 2
+        assert max(arity) == 2
+
+    @pytest.mark.parametrize("d, flavor, k", [
+        (4, "quantum", 6), (4, "classical", 6), (4, "quantum", 8), (3, "quantum", 8),
+    ])
+    def test_admitted_extremes_are_pairwise(self, d, flavor, k):
+        # every spec of the largest dense words a scenario may declare; run
+        # on probes at N = 3, an intermediate of 3^a (2d)^b entries has
+        # MAX_N^a (2d)^b at MAX_N
+        n = 3
+        probe = np.broadcast_to(np.zeros((), np.int64), (n, n, 2 * d, 2 * d))
+        largest = 0
+        for spec in admitted_specs(flavor, k):
+            tensors = [probe] * (spec.count(",") + 1)
+            for positions, step in opvalued._einsum_plan(spec, d):
+                assert len(positions) <= 2
+                tensors.append(step(*[tensors.pop(i) for i in positions]))
+                size = math.prod(opvalued.MAX_N if s == n else s for s in tensors[-1].shape)
+                largest = max(largest, size)
+        assert largest <= 4_200_000
 
     def test_object_route(self):
         # Python ints past 2^63 go through the same steps
@@ -746,7 +804,7 @@ class TestEinsumPlan:
         for constraint in enumerate_family("all", 6):
             assert_plan_matches(constraint, tensors, 2)
 
-    def test_size_above_max_n_has_its_own_plan(self, monkeypatch):
+    def test_size_above_max_n_reuses_the_plan(self, monkeypatch):
         monkeypatch.setattr(opvalued, "_EINSUM_PLANS", {})
         rng = random.Random(50)
         n = opvalued.MAX_N + 1
@@ -754,7 +812,7 @@ class TestEinsumPlan:
         spec = opvalued._tensor_spec(constraint, 2)
         for size in (3, n):
             assert_plan_matches(constraint, plan_tensors(rng, 1, size, 2), 1)
-        assert set(opvalued._EINSUM_PLANS) == {(spec, 1, opvalued.MAX_N), (spec, 1, n)}
+        assert set(opvalued._EINSUM_PLANS) == {(spec, 1)}
         args = [rand_sparse_bmatrix(rng, DenseAlgebra(1), n) for _ in range(2)]
         assert constrained_sum(constraint, args) == _scan_sum(constraint, args)
 

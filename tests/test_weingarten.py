@@ -399,9 +399,10 @@ class TestFreeProductMoment:
         assert got.evaluate(5) == Fraction(2, 30)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
+        # the quantum table cap is the oracle's one letter limit
+        with pytest.raises(ValueError, match="quantum tables support at most 8 letters, got 10"):
             free_product_moment(
-                SignPattern.alternating(8), (1,) * 8, (1,) * 8, (1,) * 8
+                SignPattern.alternating(10), (1,) * 10, (1,) * 10, (1,) * 10
             )
 
     def test_integrate_estimate_cross_check(self):
