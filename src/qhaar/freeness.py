@@ -56,7 +56,7 @@ from .partitions import (
     leq,
     mobius,
 )
-from .weingarten import FLAVORS, build_table, flavor_of
+from .weingarten import _counts_from_one, build_table, flavor_of
 # bench/tracing.py counts and probes these two under qhaar.freeness
 from .weingarten import _WEIGHT_CACHE, _pair_weights
 
@@ -134,7 +134,7 @@ class MixedWord:
                 raise TypeError("letters must be UnitaryLetter instances")
             if let.sign not in ("1", "*"):
                 raise ValueError("letter signs must be '1' or '*'")
-            if not isinstance(let.label, int) or isinstance(let.label, bool) or let.label < 1:
+            if not _counts_from_one(let.label):
                 raise ValueError("unitary labels are integers starting at 1")
         mats = self.all_factors()
         first = mats[0]
@@ -186,14 +186,6 @@ class MixedWord:
         """The constrained sums of all_factors() read so far, by slot
         partition; not a field, so eq and hash ignore it."""
         return {}
-
-    def as_quantum(self) -> "MixedWord":
-        if FLAVORS[self.flavor].free:
-            return self
-        twin = MixedWord("quantum", self.letters, self.lead)
-        # the sums depend only on the factors, which the twin shares
-        twin.__dict__["sums"] = self.sums
-        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +269,6 @@ def lhs_exact(word: MixedWord, n: int | None = None):
 
 
 def _require_limit_word(word: MixedWord) -> None:
-    if not FLAVORS[word.flavor].free:
-        raise ValueError("the limit formula applies to the quantum flavor")
     if word.lead is not None:
         raise ValueError("the limit formula applies to words without a lead matrix")
     if not word.letters:
@@ -307,14 +297,16 @@ def _limit_terms(word: MixedWord):
 
 
 def limit_formula(word: MixedWord):
-    """Limit of lhs_exact as N grows: a Mobius sum of nested expectations
-    (_limit_terms), evaluated at the word's size."""
+    """The free limit of the word's factors: the N -> infinity value of the
+    quantum word; a classical word is compared with it.  A Mobius sum of
+    nested expectations (_limit_terms) at the word's size."""
     _require_limit_word(word)
     return _evaluate_terms(_limit_terms(word), word)
 
 
 def cumulant_limit(word: MixedWord):
-    """Independent limit evaluation through free-cumulant weights.
+    """The free limit of the word's factors (see limit_formula) through
+    free-cumulant weights.
 
     Expands the state over the noncrossing partitions refining the label
     kernel whose blocks alternate in sign (nch_eps), each with the signed
@@ -392,9 +384,10 @@ def _n2_bounded(rows) -> bool:
 def convergence_report(word_at, n_range) -> ConvergenceReport:
     """Evaluate a word family over an N range and diagnose the decay rate.
 
-    word_at is a callable N -> MixedWord; each value is compared with
-    limit_formula of the quantum version of its word.  Rows come in
-    increasing N order.
+    word_at is a callable N -> MixedWord; each value is compared with the
+    free limit of its word's factors (limit_formula): the N -> infinity
+    value of the quantum word, which a classical word is compared with.
+    Rows come in increasing N order.
     """
     ns = sorted({int(n) for n in n_range})
     if not ns:
@@ -404,7 +397,7 @@ def convergence_report(word_at, n_range) -> ConvergenceReport:
         word = word_at(n)
         value = lhs_exact(word, n)
         try:
-            delta = word.algebra.norm_float(value - limit_formula(word.as_quantum()))
+            delta = word.algebra.norm_float(value - limit_formula(word))
         except OverflowError:
             delta = math.inf
         if not math.isfinite(n * n * delta):
@@ -719,7 +712,7 @@ def load_scenario(source) -> Scenario:
         label = item.get("label", 1)
         sign = item.get("sign")
         factor = item.get("factor")
-        if not isinstance(label, int) or isinstance(label, bool) or label < 1:
+        if not _counts_from_one(label):
             raise ValueError("letter labels are integers starting at 1")
         if sign not in ("1", "*"):
             raise ValueError("letter signs must be '1' or '*'")

@@ -59,8 +59,8 @@ class Flavor:
 
     pairings: the enumerate_family kind of a sign pattern's pairing family.
     cap: the most letters a Weingarten table is built for.
-    free: whether copies with different labels form a free product; words
-    mixing labels and the free limit formula rest on it.
+    free: only whether copies with different labels form a free product, as
+    words mixing labels need; the free limit of a word does not read it.
     """
 
     pairings: str
@@ -91,6 +91,11 @@ def _as_pattern(eps) -> SignPattern:
     return SignPattern(tuple(eps))
 
 
+def _counts_from_one(value) -> bool:
+    """Whether value is an int >= 1 (not a bool): a matrix index or label."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class Letter:
     """One factor of a word in matrix entries.
@@ -107,14 +112,14 @@ class Letter:
     label: int = 1
 
     def __post_init__(self) -> None:
-        if self.row < 1 or self.col < 1:
-            raise ValueError("matrix indices start at 1")
+        if not (_counts_from_one(self.row) and _counts_from_one(self.col)):
+            raise ValueError("matrix indices are integers starting at 1")
         if self.sign not in _SIGNS:
             raise ValueError(f"sign must be one of {_SIGNS}")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if self.label < 1:
-            raise ValueError("labels start at 1")
+        if not _counts_from_one(self.label):
+            raise ValueError("labels are integers starting at 1")
 
     def as_generator(self) -> "Letter":
         """Rewrite an adjoint-matrix entry as a generator power: (U*)_{ij} = u*_{ji}."""

@@ -77,3 +77,28 @@ def test_only_weingarten_compares_flavor_names():
                     if isinstance(x, ast.Constant) and x.value in ("quantum", "classical")
                 )
     assert found == []
+
+
+def test_only_load_scenario_reads_the_free_flag():
+    # Flavor.free says only whether copies with different labels form a free
+    # product; outside the Weingarten layer and the oracles it validates
+    # scenario input, and the free limit never reads it
+    found = []
+    for path in sorted(Path(qhaar.__file__).parent.glob("*.py")):
+        if path.name in ("weingarten.py", "oracles.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for fn in tree.body
+            if path.name == "freeness.py"
+            and isinstance(fn, ast.FunctionDef)
+            and fn.name == "load_scenario"
+            for node in ast.walk(fn)
+        }
+        found.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "free" and id(node) not in allowed
+        )
+    assert found == []

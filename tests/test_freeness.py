@@ -30,6 +30,7 @@ from qhaar.freeness import (
     crossing_pairing_present,
     cumulant_limit,
     element_payload,
+    _finite_dim_spec,
     finite_dim_scenario,
     infinitesimal_check,
     lhs_exact,
@@ -165,13 +166,6 @@ class TestMixedWord:
         assert w.signs() == ("1", "*")
         assert w.labels() == (1, 1)
 
-    def test_as_quantum(self):
-        rng = random.Random(0)
-        a, b = rand_matrix(rng, 2), rand_matrix(rng, 2)
-        w = MixedWord.rotated("classical", [a], [b])
-        assert w.as_quantum().flavor == "quantum"
-        assert w.as_quantum().letters == w.letters
-
 
 class TestExactEvaluation:
     def test_rank_one_identity(self):
@@ -297,7 +291,7 @@ class TestSumMemo:
 
         monkeypatch.setattr(opvalued, "_tensor_sum", counted)
         lhs_exact(word, n)
-        limit_formula(word.as_quantum())
+        limit_formula(word)
         assert len(calls) == len(set(calls))
         assert set(calls) == set(terms)
         assert len(calls) < len(terms)
@@ -315,18 +309,25 @@ class TestSumMemo:
             assert lhs_exact(dataclasses.replace(first), n) == lhs
             assert limit_formula(dataclasses.replace(second)) == limit
 
-    def test_quantum_twin_shares_the_memo(self):
-        rng = random.Random(8)
-        n = 3
-        word = MixedWord.rotated(
-            "classical",
-            [rand_matrix(rng, n) for _ in range(2)],
-            [rand_matrix(rng, n) for _ in range(2)],
-        )
-        lhs_exact(word, n)
-        twin = word.as_quantum()
-        assert word.sums and twin.sums is word.sums
-        assert limit_formula(twin) == limit_formula(MixedWord("quantum", word.letters))
+    def test_a_classical_row_shares_the_memo_with_its_limit(self, monkeypatch):
+        # a classical word reads the free limit of its own factors; each
+        # noncrossing limit term is also a slot partition of the classical
+        # pairings, so the limit contracts nothing lhs_exact did not
+        word = _finite_dim_spec(2).word_at(5)
+        assert word.flavor == "classical"
+        calls, tensor_sum = [], opvalued._tensor_sum
+
+        def counted(constraint, lifts, algebra):
+            calls.append(constraint)
+            return tensor_sum(constraint, lifts, algebra)
+
+        monkeypatch.setattr(opvalued, "_tensor_sum", counted)
+        lhs_exact(word, 5)
+        lhs_calls = list(calls)
+        limit = limit_formula(word)
+        assert calls == lhs_calls and len(calls) == len(set(calls))
+        assert {c for c, w in _limit_terms(word) if w.evaluate(5)} <= set(word.sums)
+        assert limit == limit_formula(MixedWord("quantum", word.letters))
 
 
 class TestLimitFormulas:
@@ -368,11 +369,20 @@ class TestLimitFormulas:
                     checked += 1
         assert checked == 576
 
-    def test_limit_rejects_classical_and_lead(self):
+    def test_limit_reads_classical_words_and_rejects_lead(self):
+        # a classical word takes the free limit of its own factors: the
+        # value of its quantum copy, by both limit routes
         rng = random.Random(47)
         a, b = rand_matrix(rng, 2), rand_matrix(rng, 2)
-        with pytest.raises(ValueError):
-            limit_formula(MixedWord.rotated("classical", [a], [b]))
+        flip = load_scenario(SCENARIO_DIR / "classical_flip.json")
+        words = [MixedWord.rotated("classical", [a, b], [b, a])]
+        words += [flip.word_at(n) for n in range(2, 7)]
+        words += [_finite_dim_spec(d).word_at(3) for d in (1, 2, 3)]
+        for word in words:
+            assert word.flavor == "classical"
+            want = limit_formula(MixedWord("quantum", word.letters))
+            assert limit_formula(word) == want
+            assert cumulant_limit(word) == want
         w = MixedWord(
             "quantum",
             (UnitaryLetter(1, "1", a), UnitaryLetter(1, "*", b)),

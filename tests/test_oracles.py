@@ -268,7 +268,7 @@ def oracle_limit(word):
 
 def test_limit_formula_unchanged_under_the_oracle(monkeypatch):
     words = [
-        (path.name, n, load_scenario(path).word_at(n).as_quantum())
+        (path.name, n, load_scenario(path).word_at(n))
         for path in sorted(SCENARIO_DIR.glob("*.json"))
         for n in range(2, 7)
     ]

@@ -557,6 +557,13 @@ def test_letter_validation():
         Letter(1, 1, "1", "conjugate")
     with pytest.raises(ValueError):
         Letter(1, 1, "1", "u", 0)
+    # indices and labels are ints, never floats, strings or bools
+    for bad in ((1.5, 1), (1, 1.5), (True, 1), (1, True), (1, 1, "1", "u", True),
+                (1, 1, "1", "u", "1"), (1, 1, "1", "u", 1.0)):
+        with pytest.raises(ValueError):
+            Letter(*bad)
+    with pytest.raises(ValueError):
+        word_moment(EntryWord.of((1.5, 1), (1, 1, "*")))
 
 
 def test_laurent_of_fourth_moment():
