@@ -80,6 +80,8 @@ def _n_range(args, default_lo: int, default_hi: int) -> range:
     hi = args.n_max if args.n_max is not None else default_hi
     if lo < 2:
         raise UsageError("--n-min: sizes start at 2")
+    if hi < lo and args.n_max is None:
+        raise UsageError(f"--n-min: must be at most {hi}, the default --n-max")
     if hi < lo:
         raise UsageError("--n-max: must be at least --n-min")
     if hi > MAX_N:

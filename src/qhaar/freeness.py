@@ -36,6 +36,8 @@ from .opvalued import (
     MatrixUnitAlgebra,
     MatrixUnitElement,
     MAX_N,
+    _check_args,
+    _dict_sum,
     constrained_sum,
     evaluate_expression,
     functional_e,
@@ -44,6 +46,8 @@ from .opvalued import (
     parse_scalar,
 )
 from .partitions import (
+    PLAIN,
+    STAR,
     Partition,
     SignPattern,
     _signed_catalan,
@@ -127,24 +131,14 @@ class MixedWord:
         object.__setattr__(self, "letters", tuple(self.letters))
         if not self.letters and self.lead is None:
             raise ValueError("a word needs at least one letter or a lead matrix")
-        if len(self.letters) % 2 == 1:
-            raise ValueError("mixed words use an even number of unitary letters")
         for let in self.letters:
             if not isinstance(let, UnitaryLetter):
                 raise TypeError("letters must be UnitaryLetter instances")
-            if let.sign not in ("1", "*"):
-                raise ValueError("letter signs must be '1' or '*'")
             if not _counts_from_one(let.label):
                 raise ValueError("unitary labels are integers starting at 1")
-        mats = self.all_factors()
-        first = mats[0]
-        if not isinstance(first, BMatrix):
-            raise TypeError("factors must be BMatrix instances")
-        for mat in mats[1:]:
-            if not isinstance(mat, BMatrix):
-                raise TypeError("factors must be BMatrix instances")
-            if mat.size != first.size or mat.algebra != first.algebra:
-                raise ValueError("all factors must share one size and algebra")
+        if self.letters:
+            SignPattern(self.signs())
+        _check_args(self.all_factors())
 
     @classmethod
     def rotated(cls, flavor: str, factors_a, factors_b) -> "MixedWord":
@@ -681,6 +675,8 @@ def load_scenario(source) -> Scenario:
         raise ValueError("a scenario file holds one JSON object")
 
     name = data.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
     flavor = data.get("flavor")
     try:
         record = flavor_of(flavor)
@@ -714,7 +710,7 @@ def load_scenario(source) -> Scenario:
         factor = item.get("factor")
         if not _counts_from_one(label):
             raise ValueError("letter labels are integers starting at 1")
-        if sign not in ("1", "*"):
+        if sign not in (PLAIN, STAR):
             raise ValueError("letter signs must be '1' or '*'")
         if not isinstance(factor, str):
             raise ValueError("letter factors are expression strings")
@@ -741,7 +737,7 @@ def load_scenario(source) -> Scenario:
         raise ValueError(f"n_range: sizes are capped at {MAX_N}, got {rng[1]}")
     n_range = tuple(range(rng[0], rng[1] + 1))
     return Scenario(
-        name=str(name),
+        name=name,
         flavor=flavor,
         kind=kind,
         dim=dim,
@@ -865,24 +861,18 @@ class ConstantPattern:
     def __hash__(self) -> int:
         return hash(frozenset(self.entries.items()))
 
-    def _plus(self, entries: dict, sign: int = 1) -> "ConstantPattern":
-        out = dict(self.entries)
-        for k, v in entries.items():
-            out[k] = out.get(k, GaussianRational.zero()) + v * sign
-        return ConstantPattern(out)
-
     def __add__(self, other: "ConstantPattern") -> "ConstantPattern":
-        return self._plus(other.entries)
+        return ConstantPattern(_dict_sum(self.entries, other.entries))
 
     def __sub__(self, other: "ConstantPattern") -> "ConstantPattern":
-        return self._plus(other.entries, -1)
+        return ConstantPattern(_dict_sum(self.entries, {k: -v for k, v in other.entries.items()}))
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def shifted(self, key, delta) -> "ConstantPattern":
         """Copy with delta added to one coordinate; negative-control helper."""
-        return self._plus({key: delta})
+        return ConstantPattern(_dict_sum(self.entries, {key: delta}))
 
 
 def _series_abs(f: RationalFunction, shift: int) -> Fraction:

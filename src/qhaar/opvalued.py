@@ -81,9 +81,8 @@ _SCALARS = (int, Fraction, GaussianRational)
 class CoefficientAlgebra(ABC):
     """A unital *-algebra with exact coordinates and float spectral norms."""
 
-    @abstractmethod
     def zero(self):
-        ...
+        return self.from_components({})
 
     @abstractmethod
     def one(self):
@@ -204,9 +203,6 @@ class DenseAlgebra(CoefficientAlgebra):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
-
-    def zero(self) -> DenseElement:
-        return self.from_components({})
 
     def one(self) -> DenseElement:
         return self.from_components({(a, a): _ONE for a in range(self.dim)})
@@ -416,9 +412,6 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         if n < 1:
             raise ValueError("size must be positive")
         self.n = n
-
-    def zero(self) -> MatrixUnitElement:
-        return self.from_components({})
 
     def one(self) -> MatrixUnitElement:
         # sum_ac E_aa(1) E_cc(2): the tuples with a = b and c = d

@@ -25,6 +25,7 @@ from .weingarten import (
     EntryWord,
     WeingartenTable,
     _as_pattern,
+    _counts_from_one,
     build_table,
 )
 
@@ -49,7 +50,7 @@ def haar_moment(table: WeingartenTable, i, j) -> RationalFunction:
     k = len(table.pattern)
     if len(i) != k or len(j) != k:
         raise ValueError(f"index tuples must have length {k}")
-    if any(x < 1 for x in i + j):
+    if not all(map(_counts_from_one, i + j)):
         raise ValueError("matrix indices start at 1")
     ker_i, ker_j = kernel(i), kernel(j)
     row_ok = [p for p in table.family if leq(p, ker_i)]

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 from .exactalg import FieldMatrix, RationalFunction, laurent_at_infinity
 from .partitions import (
+    PLAIN,
+    STAR,
     Partition,
     SignPattern,
     _join_forest,
@@ -48,7 +50,7 @@ __all__ = [
     "table_to_json",
 ]
 
-_SIGNS = ("1", "*")
+_SIGNS = (PLAIN, STAR)
 _KINDS = ("u", "adjoint")
 
 

@@ -108,6 +108,8 @@ BAD_SCENARIOS = [
     ("dim-true", {"algebra": {"kind": "dense", "dim": True}},
      "dense scenarios need an integer dim between 1 and 4"),
     ("label-true", {"word": letters([True, 1])}, "letter labels are integers starting at 1"),
+    # a list name used to be printed through str() as "['x']"
+    ("name-not-a-string", {"name": ["x"]}, "name must be a string"),
     # 7^8 choices per loop count, about an hour per size without the bound
     ("loop-choices-over-cap",
      {"algebra": {"kind": "matrix_unit"},
@@ -411,6 +413,13 @@ class TestMoment:
         assert out == ""
         assert err == "error: --n-max: capped at 16 to keep exact evaluation tractable\n"
 
+    def test_n_min_alone_over_default_top(self, capsys):
+        # no --n-max was given, so the error names --n-min
+        code, out, err = run(capsys, ["moment", "--m", "2", "--n-min", "12"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-min: must be at most 8, the default --n-max\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -618,6 +627,19 @@ class TestFreeness:
         assert out == ""
         assert err == "error: --n-max: capped at 16 to keep exact evaluation tractable\n"
 
+    def test_n_min_alone_over_scenario_top(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "freeness",
+                "--scenario", str(SCENARIO_DIR / "dense_circulant.json"),
+                "--n-min", "12",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-min: must be at most 10, the default --n-max\n"
+
     @pytest.mark.parametrize(
         "patch, message",
         [case[1:] for case in BAD_SCENARIOS],
@@ -698,6 +720,14 @@ class TestCounterexample:
         code, out, err = run(capsys, ["counterexample", "--n-max", "40"])
         assert code == 2
         assert "--n-max" in err
+
+    @pytest.mark.parametrize("n_min", ["10", "20"])
+    def test_n_min_alone_over_default_top(self, capsys, n_min):
+        # 20 is also over the cap, but the range it leaves is empty first
+        code, out, err = run(capsys, ["counterexample", "--n-min", n_min])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-min: must be at most 8, the default --n-max\n"
 
 
 class TestSelftest:

@@ -122,8 +122,9 @@ class TestMixedWord:
     def test_bad_sign_rejected(self):
         rng = random.Random(0)
         a = rand_matrix(rng, 2)
-        with pytest.raises(ValueError):
-            MixedWord("quantum", (UnitaryLetter(1, "x", a), UnitaryLetter(1, "*", a)))
+        for sign in ("x", "2"):
+            with pytest.raises(ValueError):
+                MixedWord("quantum", (UnitaryLetter(1, sign, a), UnitaryLetter(1, "*", a)))
 
     def test_bad_flavor_rejected(self):
         rng = random.Random(0)
@@ -152,6 +153,11 @@ class TestMixedWord:
         a, b = rand_matrix(rng, 2), rand_matrix(rng, 3)
         with pytest.raises(ValueError):
             MixedWord("quantum", (UnitaryLetter(1, "1", a), UnitaryLetter(1, "*", b)))
+
+    def test_non_matrix_lead_rejected(self):
+        a = rand_matrix(random.Random(0), 2)
+        with pytest.raises(TypeError):
+            MixedWord("quantum", (UnitaryLetter(1, "1", a), UnitaryLetter(1, "*", a)), lead=1)
 
     def test_lead_only_word(self):
         rng = random.Random(0)
@@ -703,6 +709,11 @@ class TestConstantPattern:
         assert (p + q).entries[(0, 0)] == GaussianRational(Fraction(2))
         assert (q - p).entries == {(0, 1): one}
         assert p.shifted((0, 0), -one).is_zero()
+        # sums stay zero-free: a cancelled coordinate leaves no key behind
+        c = GaussianRational(Fraction(2), Fraction(-1))
+        a = ConstantPattern({(0, 0): one, (1, 0): c})
+        assert ((a + q) - q).entries == a.entries
+        assert (a + q).shifted((0, 1), -one).entries == {(0, 0): one + one, (1, 0): c}
 
     def test_patterns_hold_entries_only(self):
         # bench/gate.py::pattern_payload digests kind and dim beside the entries

@@ -200,6 +200,10 @@ class TestHaarMoment:
             haar_moment(t, (1, 1), (1, 1, 1, 1))
         with pytest.raises(ValueError):
             haar_moment(t, (0, 1, 1, 1), (1, 1, 1, 1))
+        # indices are ints >= 1, not bools, as for weingarten.Letter
+        for i in ((1.5, 1.5), (True, 1), (0, 1), ("1", 1)):
+            with pytest.raises(ValueError, match="matrix indices start at 1"):
+                haar_moment(build_table("quantum", ALT2), i, (1, 1))
 
 
 class TestWordMoment:
