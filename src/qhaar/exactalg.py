@@ -576,7 +576,14 @@ class FieldMatrix:
                 factor = aug[r][col]
                 if not bool(factor):
                     continue
-                aug[r] = [a - factor * b if b else a for a, b in zip(aug[r], aug[col])]
+                # a - factor * b over one denominator: one canonical reduction
+                fn, fd = factor.num, factor.den
+                aug[r] = [
+                    RationalFunction(_padd(_pmul(a.num, _pmul(fd, b.den)),
+                                           _pneg(_pmul(_pmul(fn, b.num), a.den))),
+                                     _pmul(_pmul(a.den, fd), b.den)) if b else a
+                    for a, b in zip(aug[r], aug[col])
+                ]
         inv = tuple(tuple(row[n:]) for row in aug)
         return FieldMatrix(inv)
 

@@ -788,7 +788,8 @@ def constrained_sum(constraint: Partition, args):
     partition-algebra diagrams (_loop_sum) for permutation-invariant matrices
     over MatrixUnitAlgebra.
     Otherwise (a factor without a lift, or too few einsum subscripts) the
-    transfer scan (_scan_sum) runs, the oracle of the fast routes.
+    transfer scan (_scan_sum) runs, the oracle of the fast routes, unless
+    its step count is over MAX_SCAN_STEPS (ValueError).
     """
     args = _check_args(args)
     if constraint.size != 2 * len(args):
@@ -798,6 +799,13 @@ def constrained_sum(constraint: Partition, args):
         value = args[0].algebra.fast_sum(constraint, lifts)
         if value is not None:
             return value
+    # factor k scans N^(blocks open before it) states, times N for each of
+    # its row and column slots that opens a block (0-based k: slots 2k+1, 2k+2)
+    steps = sum(args[0].size ** sum(b[0] <= 2 * k < b[-1] or b[0] in (2 * k + 1, 2 * k + 2)
+                                    for b in constraint.blocks) for k in range(len(args)))
+    if steps > MAX_SCAN_STEPS:
+        raise ValueError(f"the transfer scan needs {steps} steps, "
+                         f"over MAX_SCAN_STEPS = {MAX_SCAN_STEPS}")
     return _scan_sum(constraint, args)
 
 
@@ -1123,6 +1131,11 @@ def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int, int]:
             acc[0][i] += re
             acc[1][i] += im
     return classes, low, denominator
+
+
+# transfer-scan steps one constrained sum may take, at about 15 us each on
+# matrix-unit factors (README)
+MAX_SCAN_STEPS = 200_000
 
 
 def _scan_sum(constraint: Partition, args):

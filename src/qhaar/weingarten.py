@@ -10,22 +10,25 @@ moments and the single-table sum over Weingarten entries (haar_moment) are
 independent cross-checks and live in qhaar.oracles.
 
 A "classical" flavor over full pair partitions drives the comparison with
-ordinary Haar unitary random matrices; it uses the same Gram construction over
-the crossing-inclusive pairing family.
+ordinary Haar unitary random matrices; it builds its Gram matrix the same way
+over the crossing-inclusive pairing family, but reads its Weingarten matrix
+off the characters of S_k instead of inverting the Gram matrix.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactalg import FieldMatrix, RationalFunction, laurent_at_infinity
+from .exactalg import FieldMatrix, RationalFunction, _pmul, laurent_at_infinity
 from .partitions import (
     PLAIN,
     STAR,
     Partition,
     SignPattern,
+    _find,
     _join_forest,
     enumerate_family,
     fatten,
@@ -59,7 +62,8 @@ class Flavor:
     """A Haar family, fixed by its category of partitions (Banica-Speicher,
     "Liberation of orthogonal Lie groups", 2009).
 
-    pairings: the enumerate_family kind of a sign pattern's pairing family.
+    pairings: the enumerate_family kind of a sign pattern's pairing family;
+    p2_eps, which is S_k, also picks build_table's character route.
     cap: the most letters a Weingarten table is built for.
     free: only whether copies with different labels form a free product, as
     words mixing labels need; the free limit of a word does not read it.
@@ -178,9 +182,10 @@ class EntryWord:
 class WeingartenTable:
     """Gram and Weingarten matrices over one pairing family.
 
-    gram(p, s) = n^{|join_full(p, s)|}; wg is its exact inverse over Q(n).
-    The family is NC2^eps for the quantum flavor and P2^eps for the classical
-    one; entries are indexed by the enumeration order of the family.
+    gram(p, s) = n^{|join_full(p, s)|}; wg is its exact inverse over Q(n),
+    computed as build_table says.  The family is NC2^eps for the quantum
+    flavor and P2^eps for the classical one; entries are indexed by the
+    enumeration order of the family.
     """
 
     flavor: str
@@ -206,18 +211,56 @@ class WeingartenTable:
 
 
 _TABLE_CACHE: dict[tuple[str, str], WeingartenTable] = {}
-# sign patterns with the same family share a Gram matrix (1* and *1, or a
-# quantum and a classical pattern without crossing pairings)
+# quantum sign patterns with the same family share a Gram matrix (1* and *1)
 _INVERSE_CACHE: dict[FieldMatrix, FieldMatrix] = {}
+_CLASSICAL_WG: dict[tuple[int, ...], RationalFunction] = {}
+
+
+def _classical_wg(cycles) -> RationalFunction:
+    """Wg(sigma) of U(n) for sigma in S_k of the given cycle type, by
+    Collins-Sniady (2006): the sum over lambda |- k of chi^lambda(sigma) /
+    (H_lambda prod (n + c)), H_lambda the hook product and c the content
+    j - i of each cell (i, j).  chi is Murnaghan-Nakayama on beta sets: a rim
+    hook of length r moves a bead b to the free place b - r, with sign -1
+    per bead passed.
+
+    >>> str(_classical_wg((1, 1))), str(_classical_wg((2,)))
+    ('1/(n^2 - 1)', '-1/(n^3 - n)')
+    """
+    cycles = tuple(sorted(cycles, reverse=True))
+    if (cached := _CLASSICAL_WG.get(cycles)) is not None:
+        return cached
+
+    def chi(beads: frozenset, rest: tuple[int, ...]) -> int:
+        if not rest:
+            return 1
+        r = rest[0]
+        return sum((-1) ** sum(b - r < c < b for c in beads) * chi(beads - {b} | {b - r}, rest[1:])
+                   for b in beads if b >= r and b - r not in beads)
+
+    total = RationalFunction.zero()
+    for shape in {tuple(sorted(map(len, p.blocks), reverse=True))
+                  for p in enumerate_family("all", sum(cycles))}:
+        hooks, contents = 1, (1,)
+        for i, row in enumerate(shape):
+            for j in range(row):
+                hooks *= row - j + sum(below > j for below in shape[i + 1:])
+                contents = _pmul(contents, (j - i, 1))
+        beads = frozenset(row + len(shape) - 1 - i for i, row in enumerate(shape))
+        total = total + RationalFunction((chi(beads, cycles),), tuple(hooks * c for c in contents))
+    _CLASSICAL_WG[cycles] = total
+    return total
 
 
 def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
-    """Enumerate the pairing family for eps and invert its Gram matrix exactly.
+    """Enumerate the pairing family for eps and build its exact Wg matrix.
 
     Each Gram entry is n^{|p v s|}, with the block count read off a
     union-find over the blocks of p and s; no join partition is built.
-    Results are cached by (flavor, pattern) and inverses by Gram matrix;
-    cached tables are immutable.
+    Quantum tables invert the Gram matrix.  P2^eps is S_k (the i-th 1 pairs
+    with the s(i)-th *), so a classical entry is _classical_wg of the cycle
+    type of (p, s): half the block sizes in the same union-find.  Results
+    are cached by (flavor, pattern), quantum inverses by Gram matrix.
     """
     record = flavor_of(flavor)
     eps = _as_pattern(eps)
@@ -231,12 +274,19 @@ def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     # the join of two pairings of 2m points has at most m blocks
     m = len(eps) // 2
     powers = [RationalFunction.monomial(j) for j in range(m + 1)] if family else []
-    gram = FieldMatrix(tuple(
-        tuple(powers[len(eps) - _join_forest(p, s)[1]] for s in family) for p in family
-    ))
-    wg = _INVERSE_CACHE.get(gram)
-    if wg is None:
-        wg = _INVERSE_CACHE[gram] = gram.invert()
+    forests = [[_join_forest(p, s) for s in family] for p in family]
+    gram = FieldMatrix(tuple(tuple(powers[len(eps) - j] for _, j in row) for row in forests))
+    if record.pairings == "p2_eps":
+        ground = range(1, len(eps) + 1)
+        wg = FieldMatrix(tuple(
+            tuple(_classical_wg([b // 2 for b in Counter(_find(f, x) for x in ground).values()])
+                  for f, _ in row)
+            for row in forests
+        ))
+    else:
+        wg = _INVERSE_CACHE.get(gram)
+        if wg is None:
+            wg = _INVERSE_CACHE[gram] = gram.invert()
     table = WeingartenTable(flavor, eps, family, gram, wg)
     _TABLE_CACHE[key] = table
     return table

@@ -117,6 +117,14 @@ BAD_SCENARIOS = [
                    "B": {"constructor": "matrix_unit_pattern", "entry": SEVEN_DIAGRAMS_SWAPPED}},
       "word": letters([1] * 8, ["A", "B"] * 4)},
      "loop counting needs 5764801 diagram choices, over MAX_LOOP_CHOICES = 100000"),
+    # the quantum flip word with a non-invariant A takes the transfer scan
+    # for every sum; unbounded, eight letters ran for hours over N = 2..16
+    ("scan-steps-over-cap",
+     {"algebra": {"kind": "matrix_unit"},
+      "families": {"A": {"constructor": "matrix_unit_pattern", "entry": "E(1, j, i) + E(2, i, 1)"},
+                   "B": {"constructor": "matrix_unit_pattern", "entry": "E(2, j, i)"}},
+      "word": letters([1] * 8, ["A", "B"] * 4), "n_range": [6, 11]},
+     "the transfer scan needs 383688 steps, over MAX_SCAN_STEPS = 200000"),
     ("norm-over-float-range",
      {"families": {"A": {"constructor": "diagonal_pattern", "cells": [[[HUGE]], [["0"]]]}},
       "word": letters([1] * 4)},

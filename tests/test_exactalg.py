@@ -253,6 +253,20 @@ def is_inverse(m, inv):
     return True
 
 
+def fraction_inverse(rows):
+    """Gauss-Jordan inverse of a nonsingular matrix of Fractions."""
+    n = len(rows)
+    aug = [list(row) + [Fraction(int(a == b)) for b in range(n)] for a, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def realified(rows):
     """The real 2n x 2n form [[Re, -Im], [Im, Re]] of a Gaussian-integer matrix."""
     re = [[int(z.re) for z in row] for row in rows]
@@ -318,6 +332,22 @@ class TestFieldMatrix:
     def test_empty_matrix(self):
         m = FieldMatrix(())
         assert m.invert().size == 0
+
+    def test_row_update_with_nonconstant_denominators(self):
+        # each updated entry a - f * b is built over one denominator and
+        # reduced once; a zero first pivot forces a row swap
+        f = RF.from_text
+        m = FieldMatrix((
+            (RF.zero(), f("1/(n + 1)"), f("n/(n - 1)")),
+            (f("1/n"), f("(n + 2)/(n^2 + 1)"), RF.one()),
+            (f("(n - 3)/(n + 2)"), RF.from_int(2), f("1/(n^2 - 2)")),
+        ))
+        inv = m.invert()
+        assert is_inverse(m, inv)
+        for size in (5, 7):
+            at = [[m.entry(a, b).evaluate(size) for b in range(3)] for a in range(3)]
+            expected = fraction_inverse(at)
+            assert [[inv.entry(a, b).evaluate(size) for b in range(3)] for a in range(3)] == expected
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -1010,6 +1010,20 @@ class TestLoopSum:
         assert expected
         assert constrained_sum(constraint, args) == expected
 
+    def test_scan_steps_are_bounded(self, monkeypatch):
+        # N^2 steps open {1,4} and {2} at factor 1, N^(1+1) more keep {1,4}
+        # and open {3} at factor 2: 18 at N = 3
+        alg = MatrixUnitAlgebra(3)
+        args = [BMatrix(alg, [[alg.unit(1, 1, 2)] * 3] * 3), flip_matrix(alg)]
+        constraint = Partition.from_text("{{1,4},{2},{3}}")
+        monkeypatch.setattr(opvalued, "MAX_SCAN_STEPS", 18)
+        value = constrained_sum(constraint, args)
+        monkeypatch.setattr(opvalued, "MAX_SCAN_STEPS", 17)
+        with pytest.raises(ValueError, match="needs 18 steps, over MAX_SCAN_STEPS = 17"):
+            constrained_sum(constraint, args)
+        # the oracle itself has no bound
+        assert _scan_sum(constraint, args) == value
+
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("flavor", ["quantum", "classical"])
     def test_counterexample_word(self, monkeypatch, flavor, n):

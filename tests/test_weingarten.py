@@ -118,13 +118,16 @@ class TestBuildTable:
         monkeypatch.setattr(weingarten, "_TABLE_CACHE", {})
         monkeypatch.setattr(weingarten, "_INVERSE_CACHE", {})
         assert build_table("quantum", "1*").wg is build_table("quantum", "*1").wg
-        # 1*1* has no crossing pairing, so both flavors have one family
-        assert build_table("quantum", ALT4).wg is build_table("classical", ALT4).wg
-        assert build_table("quantum", ALT6).wg is not build_table("classical", ALT6).wg
+        # 1*1* has no crossing pairing, so both flavors have one family and
+        # one Weingarten matrix; the classical one comes from characters
+        quantum, classical = build_table("quantum", ALT4), build_table("classical", ALT4)
+        assert quantum.wg == classical.wg
+        assert quantum.wg is not classical.wg
+        assert build_table("quantum", ALT6).wg != build_table("classical", ALT6).wg
 
-    def test_every_table_takes_fifteen_inversions(self, monkeypatch):
-        # every quantum pattern up to 8 letters and classical one up to 6
-        # shares one of 15 Gram matrices; the cache key must find them
+    def test_quantum_tables_take_fourteen_inversions_classical_none(self, monkeypatch):
+        # every quantum pattern up to 8 letters shares one of 14 Gram
+        # matrices, the cache key must find them; classical tables invert nothing
         monkeypatch.setattr(weingarten, "_TABLE_CACHE", {})
         monkeypatch.setattr(weingarten, "_INVERSE_CACHE", {})
         calls = []
@@ -135,11 +138,12 @@ class TestBuildTable:
             return invert(matrix)
 
         monkeypatch.setattr(FieldMatrix, "invert", counted)
-        for flavor, cap in (("quantum", 8), ("classical", 6)):
+        for flavor, cap, inversions in (("quantum", 8, 14), ("classical", 6, 0)):
+            calls.clear()
             for length in range(2, cap + 1, 2):
                 for eps in all_sign_patterns(length):
                     build_table(flavor, eps)
-        assert len(calls) == 15
+            assert len(calls) == inversions
 
     @pytest.mark.parametrize("flavor", ["quantum", "classical"])
     def test_shared_inverse_equals_a_fresh_inversion(self, flavor):
@@ -147,6 +151,42 @@ class TestBuildTable:
             for eps in all_sign_patterns(length):
                 table = build_table(flavor, eps)
                 assert table.wg == table.gram.invert()
+
+    @pytest.mark.parametrize("text", ["1*1*1*1*", "1111****"])
+    def test_eight_letter_characters_equal_the_gram_inverse(self, text):
+        # over the cap, so straight from the family: a P2^eps pair is a
+        # permutation with cycles half the blocks of its join
+        family = enumerate_family("p2_eps", 8, SignPattern.from_text(text)).members
+        joins = [[join_full(p, s).blocks for s in family] for p in family]
+        gram = FieldMatrix(tuple(tuple(RF.monomial(len(j)) for j in row) for row in joins))
+        wg = FieldMatrix(tuple(
+            tuple(weingarten._classical_wg(tuple(sorted((len(b) // 2 for b in j), reverse=True)))
+                  for j in row)
+            for row in joins
+        ))
+        assert len(family) == 24
+        assert wg == gram.invert()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_classical_rows_sum_to_the_inverse_rising_factorial(self, k):
+        # sum over tau in S_k of Wg(sigma tau) = 1/(n(n+1)...(n+k-1)), the
+        # moment E|u_11|^{2k} over k!; no Gram matrix enters
+        rising = RF.one()
+        for c in range(k):
+            rising = rising * (N + c)
+        total = RF.zero()
+        for perm in itertools.permutations(range(k)):
+            seen, cycles = set(), []
+            for start in range(k):
+                length = 0
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+                    length += 1
+                if length:
+                    cycles.append(length)
+            total = total + weingarten._classical_wg(tuple(sorted(cycles, reverse=True)))
+        assert total == 1 / rising
 
     def test_size_caps(self):
         with pytest.raises(ValueError):
