@@ -166,13 +166,7 @@ def _cmd_moment(args):
     results = {"flavor": flavor, "pattern": str(eps), "moment": str(f)}
     rows = [["moment"], [f]]
     if args.n_min is not None or args.n_max is not None:
-        values = {}
-        rng = _n_range(args, 2, 8)
-        for n in rng:
-            try:
-                values[str(n)] = str(f.evaluate(n))
-            except ZeroDivisionError:
-                values[str(n)] = "undefined"
+        values = {str(n): str(f.evaluate(n)) for n in _n_range(args, 2, 8)}
         results["values"] = values
         rows = [["n", "value"], *values.items()]
     return params, results, {}, rows

@@ -151,6 +151,8 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
+    adjoint = conjugate
+
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 

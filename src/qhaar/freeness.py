@@ -31,7 +31,6 @@ from .opvalued import (
     BMatrix,
     CoefficientAlgebra,
     DenseAlgebra,
-    DenseElement,
     DiagramMatrix,
     MatrixUnitAlgebra,
     MatrixUnitElement,
@@ -405,10 +404,10 @@ def convergence_report(word_at, n_range) -> ConvergenceReport:
 
 def element_payload(value) -> dict:
     """JSON-ready form of an algebra element, exact coordinates as strings."""
-    if isinstance(value, DenseElement):
+    if isinstance(value, BMatrix):
         return {
             "kind": "dense",
-            "dim": value.dim,
+            "dim": value.size,
             "rows": [[str(v) for v in row] for row in value.rows],
         }
     if isinstance(value, MatrixUnitElement):
@@ -604,7 +603,7 @@ def _field(where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _parse_cell(data, dim: int) -> DenseElement:
+def _parse_cell(data, dim: int) -> BMatrix:
     if not isinstance(data, list) or len(data) != dim:
         raise ValueError(f"dense cells are {dim}x{dim} nested lists of scalars")
     rows = []

@@ -8,11 +8,12 @@ kernel refines a slot partition), the nested expectation functionals along
 noncrossing partitions and the operator-valued free cumulants built on them,
 and a floating-point norm-bound check for such sums.
 
-Two algebra instances are provided: DenseAlgebra (d x d matrices over Q(i))
-and MatrixUnitAlgebra (the span of products E_ab(1) E_cd(2) of two commuting
-N x N matrix-unit systems).  Each algebra owns its size-independent
-coordinates: matrix entries for DenseAlgebra, and one coefficient per index
-kernel class of a permutation-invariant element for MatrixUnitAlgebra.
+Two algebra instances are provided: DenseAlgebra (d x d matrices over Q(i),
+each a BMatrix over the Gaussian rationals) and MatrixUnitAlgebra (the span
+of products E_ab(1) E_cd(2) of two commuting N x N matrix-unit systems).
+Each algebra owns its size-independent coordinates: matrix entries for
+DenseAlgebra, and one coefficient per index kernel class of a
+permutation-invariant element for MatrixUnitAlgebra.
 
 Each algebra is also where a constrained-sum backend plugs in: lift gives
 the exact form of a matrix that its fast_sum reads (BMatrix caches it), an
@@ -47,7 +48,6 @@ from .partitions import _find, _union
 __all__ = [
     "CoefficientAlgebra",
     "DenseAlgebra",
-    "DenseElement",
     "MatrixUnitAlgebra",
     "MatrixUnitElement",
     "BMatrix",
@@ -122,101 +122,66 @@ class CoefficientAlgebra(ABC):
         return float(np.linalg.norm(self.to_complex_array(x), 2))
 
 
-class DenseElement:
-    """A d x d matrix over Q(i); the element type of DenseAlgebra."""
+class _GaussianRationals(CoefficientAlgebra):
+    """Q(i) as a coefficient algebra: the entries of a DenseAlgebra element.
 
-    __slots__ = ("dim", "rows")
+    It has one coordinate and no fast route, so a constrained sum of scalar
+    matrices takes the transfer scan.
+    """
 
-    def __init__(self, dim: int, rows):
-        rows = tuple(tuple(_as_gauss(v) for v in row) for row in rows)
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise ValueError(f"need a {dim}x{dim} matrix")
-        self.dim = dim
-        self.rows = rows
+    def one(self) -> GaussianRational:
+        return _ONE
 
-    def _check(self, other: "DenseElement") -> None:
-        if not isinstance(other, DenseElement) or other.dim != self.dim:
-            raise TypeError("dense elements of mismatched dimension")
+    def contains(self, x) -> bool:
+        return isinstance(x, GaussianRational)
 
-    def __add__(self, other):
-        self._check(other)
-        return DenseElement(
-            self.dim,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+    def to_complex_array(self, x: GaussianRational) -> np.ndarray:
+        return np.array([[x.to_complex()]])
 
-    def __sub__(self, other):
-        return self + (-other)
+    def components(self, x: GaussianRational) -> dict:
+        return {(): x} if x else {}
 
-    def __neg__(self):
-        return DenseElement(self.dim, tuple(tuple(-v for v in r) for r in self.rows))
+    def from_components(self, comps: dict) -> GaussianRational:
+        return _as_gauss(comps.get((), _ZERO))
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _as_gauss(other)
-            return DenseElement(
-                self.dim, tuple(tuple(v * c for v in r) for r in self.rows)
-            )
-        if not isinstance(other, DenseElement):
-            return NotImplemented
-        self._check(other)
-        d = self.dim
-        cols = tuple(zip(*other.rows))
-        return DenseElement(
-            d,
-            tuple(
-                tuple(sum((ra[t] * cb[t] for t in range(d)), _ZERO) for cb in cols)
-                for ra in self.rows
-            ),
-        )
+    def lift(self, a: "BMatrix") -> None:
+        return None
 
-    __rmul__ = __mul__
-
-    def adjoint(self) -> "DenseElement":
-        return DenseElement(
-            self.dim, tuple(tuple(v.conjugate() for v in col) for col in zip(*self.rows))
-        )
-
-    def __bool__(self) -> bool:
-        return any(any(v for v in r) for r in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DenseElement)
-            and other.dim == self.dim
-            and other.rows == self.rows
-        )
-
-    __hash__ = None
+    def fast_sum(self, constraint: Partition, lifts: list) -> None:
+        return None
 
     def __repr__(self) -> str:
-        return f"DenseElement({self.dim}, {self.rows!r})"
+        return "_QI"
+
+
+_QI = _GaussianRationals()
 
 
 class DenseAlgebra(CoefficientAlgebra):
-    """M_d(Q(i)) with adjoint the conjugate transpose."""
+    """M_d(Q(i)) with adjoint the conjugate transpose; an element is a d x d
+    BMatrix over _QI."""
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
 
-    def one(self) -> DenseElement:
-        return self.from_components({(a, a): _ONE for a in range(self.dim)})
+    def one(self) -> BMatrix:
+        return BMatrix.identity(_QI, self.dim)
 
-    def element(self, rows) -> DenseElement:
-        return DenseElement(self.dim, rows)
+    def element(self, rows) -> BMatrix:
+        rows = tuple(map(tuple, rows))
+        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
+            raise ValueError(f"need a {self.dim}x{self.dim} matrix")
+        return BMatrix(_QI, rows)
 
     def contains(self, x) -> bool:
-        return isinstance(x, DenseElement) and x.dim == self.dim
+        return isinstance(x, BMatrix) and x.algebra is _QI and x.size == self.dim
 
-    def to_complex_array(self, x: DenseElement) -> np.ndarray:
+    def to_complex_array(self, x: BMatrix) -> np.ndarray:
         return np.array([[v.to_complex() for v in r] for r in x.rows], dtype=complex)
 
-    def components(self, x: DenseElement) -> dict:
+    def components(self, x: BMatrix) -> dict:
         return {
             (a, b): v
             for a, row in enumerate(x.rows)
@@ -224,16 +189,16 @@ class DenseAlgebra(CoefficientAlgebra):
             if v
         }
 
-    def from_components(self, comps: dict) -> DenseElement:
+    def from_components(self, comps: dict) -> BMatrix:
         rows = [[_ZERO] * self.dim for _ in range(self.dim)]
         for (a, b), v in comps.items():
-            rows[a][b] = _as_gauss(v)
-        return DenseElement(self.dim, rows)
+            rows[a][b] = v
+        return BMatrix(_QI, rows)
 
     def lift(self, a: "BMatrix") -> tuple[np.ndarray, int, int]:
         return _integer_tensor(a)
 
-    def fast_sum(self, constraint: Partition, lifts: list) -> DenseElement | None:
+    def fast_sum(self, constraint: Partition, lifts: list) -> BMatrix | None:
         # one einsum subscript per block, per factor and for the chain's end
         if len(constraint.blocks) + len(lifts) + 1 > len(_SUBSCRIPTS):
             return None
@@ -497,12 +462,8 @@ class BMatrix:
     __slots__ = ("algebra", "size", "rows", "_lift")
 
     def __init__(self, algebra: CoefficientAlgebra, rows):
-        rows = tuple(
-            tuple(
-                v if algebra.contains(v) else algebra.scalar(v) for v in row
-            )
-            for row in rows
-        )
+        contains, scalar = algebra.contains, algebra.scalar
+        rows = tuple(tuple(v if contains(v) else scalar(v) for v in row) for row in rows)
         size = len(rows)
         if any(len(r) != size for r in rows):
             raise ValueError("matrix must be square")
@@ -608,6 +569,12 @@ class BMatrix:
 
     __hash__ = None
 
+    def __bool__(self) -> bool:
+        return any(v for row in self.rows for v in row)
+
+    def __repr__(self) -> str:
+        return f"BMatrix({self.algebra!r}, {self.rows!r})"
+
     def to_complex_array(self) -> np.ndarray:
         blocks = [
             [self.algebra.to_complex_array(v) for v in row] for row in self.rows
@@ -687,6 +654,12 @@ class DiagramMatrix(BMatrix):
 
     def lift(self) -> dict:
         return self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __repr__(self) -> str:
+        return f"DiagramMatrix({self.algebra!r}, {self.terms!r})"
 
     def __matmul__(self, other: BMatrix) -> BMatrix:
         if not isinstance(other, DiagramMatrix):
@@ -860,7 +833,7 @@ def _integer_tensor(a: BMatrix) -> tuple[np.ndarray, int, int]:
     return np.block([[re, -im], [im, re]]), scale, bound
 
 
-def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> DenseElement:
+def _tensor_sum(constraint: Partition, lifts, algebra: DenseAlgebra) -> BMatrix:
     """The constrained sum as one einsum spec over the factors' integer
     tensors, run by its compiled plan (_einsum_plan).
 

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from qhaar.cli import main
+from qhaar.opvalued import MAX_N
+from qhaar.weingarten import FLAVORS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -84,6 +86,8 @@ BAD_SCENARIOS = [
      "word letter 2: the base of a power cannot hold another power"),
     ("nesting-over-cap", {"word": letters([1, 1], ["A", "+".join(["A"] * 300)])},
      "word letter 2: expressions nest at most 200 levels deep"),
+    ("odd-length-word", {"word": letters([1, 1, 1])},
+     "the word needs an even positive number of letters"),
     ("top-level-list", [1, 2], "a scenario file holds one JSON object"),
     ("explicit-wrong-shape",
      {"families": {"A": {"constructor": "explicit", "matrices": {"2": [[[["1"]]]]}}}},
@@ -147,6 +151,14 @@ PINNED_FREENESS = {
 }
 
 
+# exact_digest of `freeness --n-min 2 --n-max 16` on the dense scenarios,
+# every size up to MAX_N
+PINNED_DENSE_MAX_N = {
+    "dense_circulant": "e6d425e634857f4b7f57710981bd195f29ad3faa1fd167646c83fbba5dab5e8e",
+    "diagonal_pattern": "ab4b0743129239230c42149abc89239a4cffc532381308990ba5f29a114b2b59",
+}
+
+
 def exact_digest(code: int, payload: dict) -> str:
     """Digest of each row's n and value, slope_ok, n2_bounded, verdict, the
     verdicts block and the exit code; the float fields are left out."""
@@ -201,6 +213,23 @@ PINNED_CSV = {
 }
 
 
+# usage errors of each command, with the one line each prints on stderr
+USAGE_ERRORS = [
+    ("moment-n-min", ["moment", "--m", "1", "--n-min", "1"], "--n-min: sizes start at 2"),
+    ("counterexample-n-min", ["counterexample", "--n-min", "1"], "--n-min: sizes start at 2"),
+    ("freeness-n-min",
+     ["freeness", "--scenario", str(SCENARIO_DIR / "dense_circulant.json"), "--n-min", "1"],
+     "--n-min: sizes start at 2"),
+    ("partitions-eps-over-cap", ["partitions", "--eps", "1*" * 7, "--flavor", "classical"],
+     "--eps: pairing enumeration capped at 12 points, got 14"),
+    ("weingarten-eps-over-cap", ["weingarten", "--eps", "1*" * 5],
+     "--eps: quantum tables support at most 8 letters, got 10"),
+    ("moment-m-zero", ["moment", "--m", "0"], "--m: must be positive"),
+    ("moment-eps-over-cap", ["moment", "--eps", "1*" * 5],
+     "--eps: quantum tables support at most 8 letters, got 10"),
+]
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -235,6 +264,24 @@ class TestEnvelope:
         assert out == "" and err == ""
         payload = json.loads(target.read_text())
         assert payload["command"] == "weingarten"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [case[1:] for case in USAGE_ERRORS],
+        ids=[case[0] for case in USAGE_ERRORS],
+    )
+    def test_usage_error_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_out_into_missing_directory_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["weingarten", "--eps", "1*", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --out: ")
 
     def test_repeat_invocations_are_byte_identical(self, capsys, tmp_path):
         argv = ["moment", "--m", "2", "--n-min", "2", "--n-max", "6"]
@@ -449,6 +496,17 @@ class TestMoment:
         assert out == ""
         assert err == f"error: --m: {message}\n"
 
+    def test_every_moment_has_no_pole_up_to_max_n(self, capsys):
+        # every even-length sign pattern up to each flavor's cap
+        for flavor, record in FLAVORS.items():
+            for k in range(2, record.cap + 1, 2):
+                for signs in itertools.product("1*", repeat=k):
+                    argv = ["moment", "--flavor", flavor, "--eps", "".join(signs),
+                            "--n-min", "2", "--n-max", str(MAX_N)]
+                    code, payload = run_json(capsys, argv)
+                    assert code == 0
+                    assert len(payload["results"]["values"]) == MAX_N - 1
+
 
 class TestFreeness:
     def test_quantum_flip_converges(self, capsys):
@@ -573,6 +631,14 @@ class TestFreeness:
             capsys, ["freeness", "--scenario", str(SCENARIO_DIR / f"{name}.json")]
         )
         assert exact_digest(code, payload) == PINNED_FREENESS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DENSE_MAX_N))
+    def test_dense_output_up_to_max_n_is_pinned(self, capsys, name):
+        code, payload = run_json(capsys, [
+            "freeness", "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+            "--n-min", "2", "--n-max", str(MAX_N),
+        ])
+        assert exact_digest(code, payload) == PINNED_DENSE_MAX_N[name]
 
     def test_pole_blames_n_min(self, capsys):
         code, out, err = run(

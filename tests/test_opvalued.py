@@ -146,8 +146,23 @@ class TestDenseAlgebra:
             other * x
 
     def test_dimension_mismatch_keeps_its_message(self):
-        with pytest.raises(TypeError, match="mismatched dimension"):
+        # dense elements are BMatrix instances over Q(i), so the mismatch is
+        # BMatrix's own: two matrices of different sizes
+        with pytest.raises(TypeError, match="^matrices over different spaces$"):
             DenseAlgebra(2).one() * DenseAlgebra(3).one()
+
+    def test_element_is_a_bmatrix_over_q_i(self):
+        alg = DenseAlgebra(2)
+        i = GaussianRational.i()
+        x = alg.element([[1, i], [Fraction(1, 2), 2 - i]])
+        assert isinstance(x, BMatrix) and x.size == 2 and alg.contains(x)
+        assert x.adjoint() == alg.element([[1, Fraction(1, 2)], [-i, 2 + i]])
+        assert alg.one() * x == x == x * alg.one()
+        assert alg.one() == BMatrix.identity(x.algebra, 2)
+
+    def test_element_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match="^need a 2x2 matrix$"):
+            DenseAlgebra(2).element([[1]])
 
 
 class TestMatrixUnitAlgebra:
@@ -271,6 +286,26 @@ class TestBMatrix:
         a = BMatrix(alg, [[1, 0], [0, Fraction(1, 2)]])
         assert a.entry(0, 0) == alg.one()
         assert a.entry(1, 1) == alg.scalar(Fraction(1, 2))
+
+    def test_truth_is_a_nonzero_entry(self):
+        for alg in both_algebras():
+            assert not BMatrix.zero(alg, 3)
+            a = BMatrix.zero(alg, 3)
+            rows = [list(r) for r in a.rows]
+            rows[2][1] = alg.one()
+            assert BMatrix(alg, rows)
+            assert BMatrix.identity(alg, 2)
+
+    def test_diagram_matrix_truth_reads_no_entries(self, monkeypatch):
+        def no_entries(self):
+            raise AssertionError("entries built")
+
+        alg = MatrixUnitAlgebra(4)
+        ident = DiagramMatrix.identity(alg, 4)
+        monkeypatch.setattr(DiagramMatrix, "rows", property(no_entries))
+        assert ident
+        assert not ident - ident
+        assert not DiagramMatrix(alg, {})
 
     def test_left_right_mul(self):
         for alg in both_algebras():
