@@ -14,7 +14,6 @@ scalar type rather than wrapped.
 from __future__ import annotations
 
 import math
-import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -275,35 +274,6 @@ def _pformat(a: tuple[int, ...]) -> str:
     return " ".join(parts)
 
 
-_TERM_RE = _re.compile(r"^([+-]?\d*)\*?(n(?:\^(\d+))?)?$")
-
-
-def _pparse(text: str) -> tuple[int, ...]:
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    s = s.replace("-", "+-").replace(" ", "")
-    coeffs: dict[int, int] = {}
-    for term in s.split("+"):
-        if not term:
-            continue
-        m = _TERM_RE.match(term)
-        if not m or (m.group(1) in ("", "+", "-") and not m.group(2)):
-            raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
-        coef_s, var, exp_s = m.group(1), m.group(2), m.group(3)
-        coef = {"": 1, "+": 1, "-": -1}.get(coef_s, None)
-        if coef is None:
-            coef = int(coef_s)
-        k = 0 if var is None else (1 if exp_s is None else int(exp_s))
-        coeffs[k] = coeffs.get(k, 0) + coef
-    if not coeffs:
-        raise ValueError(f"empty polynomial {text!r}")
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return _pstrip(out)
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """A reduced quotient of integer-coefficient polynomials in n.
@@ -371,23 +341,6 @@ class RationalFunction:
         if k >= 0:
             return cls((0,) * k + (1,), (1,))
         return cls((1,), (0,) * (-k) + (1,))
-
-    @staticmethod
-    def from_text(text: str) -> "RationalFunction":
-        depth = 0
-        split = None
-        for pos, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                if split is not None:
-                    raise ValueError(f"multiple top-level '/' in {text!r}")
-                split = pos
-        if split is None:
-            return RationalFunction(_pparse(text), (1,))
-        return RationalFunction(_pparse(text[:split]), _pparse(text[split + 1 :]))
 
     # -- arithmetic
 

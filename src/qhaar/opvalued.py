@@ -104,15 +104,15 @@ class CoefficientAlgebra(ABC):
     def from_components(self, comps: dict):
         """The element with the given coordinates; inverse of components."""
 
-    @abstractmethod
     def lift(self, a: "BMatrix"):
         """The exact form of a matrix over this algebra that fast_sum reads,
         or None when only the transfer scan applies to it."""
+        return None
 
-    @abstractmethod
     def fast_sum(self, constraint: Partition, lifts: list):
         """The constrained sum of the factors with these lifts, or None when
         the fast route does not apply to this constraint."""
+        return None
 
     def scalar(self, c):
         return self.one() * _as_gauss(c)
@@ -143,12 +143,6 @@ class _GaussianRationals(CoefficientAlgebra):
 
     def from_components(self, comps: dict) -> GaussianRational:
         return _as_gauss(comps.get((), _ZERO))
-
-    def lift(self, a: "BMatrix") -> None:
-        return None
-
-    def fast_sum(self, constraint: Partition, lifts: list) -> None:
-        return None
 
     def __repr__(self) -> str:
         return "_QI"
@@ -434,9 +428,9 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
         return _diagram_terms(a)
 
     def fast_sum(self, constraint: Partition, lifts: list) -> MatrixUnitElement:
-        classes, low, denominator = _loop_sum(constraint, lifts)
+        classes, den = _loop_sum(constraint, lifts)
         n = self.n
-        den = denominator * n**-low
+        den = _peval(den, n)
         return self.from_components({
             kap: GaussianRational(Fraction(_peval(re, n), den), Fraction(_peval(im, n), den))
             for kap, (re, im) in classes.items()
@@ -785,11 +779,10 @@ def constrained_sum(constraint: Partition, args):
 def loop_polynomials(constraint: Partition, factors) -> dict:
     """constrained_sum of DiagramMatrix factors at every N, per kernel class
     as a (re, im) pair of RationalFunctions: each of _loop_sum's class
-    polynomials over its denominator times N^-low."""
+    polynomials over its denominator polynomial."""
     if not all(isinstance(f, DiagramMatrix) for f in factors):
         raise TypeError("loop_polynomials needs DiagramMatrix factors")
-    classes, low, denominator = _loop_sum(constraint, [f.lift() for f in factors])
-    den = (0,) * -low + (denominator,)
+    classes, den = _loop_sum(constraint, [f.lift() for f in factors])
     return {
         kap: (RationalFunction(re, den), RationalFunction(im, den))
         for kap, (re, im) in classes.items()
@@ -1022,7 +1015,7 @@ def _classes_above(pattern: tuple) -> tuple:
 MAX_LOOP_CHOICES = 100_000
 
 
-def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int, int]:
+def _loop_sum(constraint: Partition, lifts) -> tuple[dict, tuple[int, ...]]:
     """The constrained sum of partition-algebra factors by loop counting.
 
     Each lift maps (diagram, power of N) to a coefficient, as
@@ -1035,10 +1028,11 @@ def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int, int]:
     is a closed loop and adds one to the power of N, as the chosen diagrams'
     powers do; how the output legs fall together is a delta pattern, and the
     coefficient of a kernel class is the sum over the patterns below it.
-    Returns (classes, low, denominator): classes maps each kernel class to
-    its polynomial in N as (re, im) lists of integer coefficients, entry i
-    the coefficient of N^(low + i), with low <= 0 the lowest power; the
-    class's value is that polynomial over denominator.
+    Returns (classes, den): classes maps each kernel class to its numerator
+    polynomial in N as (re, im) lists of integer coefficients, entry i the
+    coefficient of N^i, and the class's value is that polynomial over den,
+    the integer polynomial L * N^-low.  Here low <= 0 is the lowest power of
+    N that occurs and L the product of the factors' coefficient denominators.
     """
     if (count := math.prod(map(len, lifts))) > MAX_LOOP_CHOICES:
         raise ValueError(f"loop counting needs {count} diagram choices, "
@@ -1103,7 +1097,7 @@ def _loop_sum(constraint: Partition, lifts) -> tuple[dict, int, int]:
                 acc = classes[kap] = ([0] * width, [0] * width)
             acc[0][i] += re
             acc[1][i] += im
-    return classes, low, denominator
+    return classes, (0,) * -low + (denominator,)
 
 
 # transfer-scan steps one constrained sum may take, at about 15 us each on

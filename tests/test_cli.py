@@ -137,6 +137,35 @@ BAD_SCENARIOS = [
      {"families": {"A": {"constructor": "diagonal_pattern", "cells": [[[LARGE]], [["0"]]]}},
       "word": letters([1] * 4)},
      "N = 3: exact values exceed the float range of the spectral norm"),
+    ("cell-not-a-list", {"families": {"A": {"constructor": "diagonal_constant", "cell": "1"}}},
+     "family A: dense cells are 1x1 nested lists of scalars"),
+    ("cell-row-too-long",
+     {"families": {"A": {"constructor": "diagonal_constant", "cell": [["1", "0"]]}}},
+     "family A: dense cells are 1x1 nested lists of scalars"),
+    ("family-without-constructor", {"families": {"A": {"cell": [["1"]]}}},
+     "family A: each family is an object with a 'constructor' field"),
+    ("matrix-unit-family-over-dense",
+     {"families": {"A": {"constructor": "matrix_unit_pattern", "entry": "E(1, j, i)"}}},
+     "family A: matrix_unit_pattern families need the matrix_unit algebra"),
+    ("matrix-unit-family-without-entry",
+     {"algebra": {"kind": "matrix_unit"},
+      "families": {"A": {"constructor": "matrix_unit_pattern"}}},
+     "family A: matrix_unit_pattern families need an 'entry' expression"),
+    ("dense-family-over-matrix-units", {"algebra": {"kind": "matrix_unit"}},
+     "family A: constructor diagonal_constant needs the dense algebra"),
+    ("circulant-without-coefficients",
+     {"families": {"A": {"constructor": "circulant", "coefficients": []}}},
+     "family A: circulant families need a nonempty 'coefficients' list"),
+    ("explicit-without-matrices", {"families": {"A": {"constructor": "explicit"}}},
+     "family A: explicit families need a 'matrices' object keyed by N"),
+    ("algebra-without-kind", {"algebra": {"dim": 1}},
+     "scenario algebra must declare kind 'dense' or 'matrix_unit'"),
+    ("no-families", {"families": {}}, "scenario must declare a nonempty 'families' object"),
+    ("empty-word", {"word": []}, "scenario must declare a nonempty 'word' list"),
+    ("letter-not-an-object", {"word": ["A", "A"]},
+     "word letters are objects with label, sign, factor"),
+    ("factor-not-a-string", {"word": letters([1, 1], [1, "A"])},
+     "letter factors are expression strings"),
 ]
 
 
@@ -727,6 +756,14 @@ class TestFreeness:
         assert code == 2
         assert out == ""
         assert err == f"error: --scenario: {message}\n"
+
+    def test_scenario_file_not_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        code, out, err = run(capsys, ["freeness", "--scenario", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --scenario: scenario file is not valid JSON: {path}\n"
 
 
 class TestCounterexample:

@@ -146,22 +146,37 @@ class TestRationalFunction:
     def test_text_roundtrip(self):
         f = RF((1, 0, 1), (0, -1, 0, 1))
         assert str(f) == "(n^2 + 1)/(n^3 - n)"
-        assert RF.from_text("(n^2 + 1)/(n^3 - n)") == f
-        assert RF.from_text(str(f)) == f
+        assert str((N_VAR**2 + 1) / (N_VAR**3 - N_VAR)) == str(f)
 
     def test_text_forms(self):
-        assert RF.from_text("n") == N_VAR
-        assert RF.from_text("3/5") == RF((3,), (5,))
-        assert RF.from_text("2n^2 - n + 7") == 2 * N_VAR**2 - N_VAR + 7
-        assert RF.from_text("2*n^2") == 2 * N_VAR**2
+        assert str(N_VAR) == "n"
+        assert str(RF((3,), (5,))) == "3/5"
+        assert str(2 * N_VAR**2 - N_VAR + 7) == "2n^2 - n + 7"
+        assert str(RF((0, 0, 2), (1,))) == "2n^2"
         assert str(RF.from_int(-3)) == "-3"
         assert str(RF.zero()) == "0"
 
-    def test_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            RF.from_text("n + x")
-        with pytest.raises(ValueError):
-            RF.from_text("1/2/3")
+    def test_text_is_a_faithful_key(self):
+        # the canonical form makes str(f) == str(g) exactly when f == g, which
+        # is what lets the JSON and CSV outputs compare functions as text
+        rng = random.Random(31)
+        n = N_VAR
+        pool = []
+        while len(pool) < 90:
+            num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
+            den = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))
+            if not any(den):
+                continue
+            f = RF(num, den)
+            doubled = RF(tuple(2 * c for c in num), tuple(2 * c for c in den))
+            pool += [f, (f * (n + 1)) / (n + 1), doubled]
+        equal = 0
+        for f in pool:
+            for g in pool:
+                same = _pmul(f.num, g.den) == _pmul(g.num, f.den)
+                assert (str(f) == str(g)) == (f == g) == same
+                equal += same
+        assert len(pool) < equal < len(pool) ** 2
 
     def test_equality_with_scalars(self):
         assert RF.from_int(5) == 5
@@ -336,11 +351,11 @@ class TestFieldMatrix:
     def test_row_update_with_nonconstant_denominators(self):
         # each updated entry a - f * b is built over one denominator and
         # reduced once; a zero first pivot forces a row swap
-        f = RF.from_text
+        n = N_VAR
         m = FieldMatrix((
-            (RF.zero(), f("1/(n + 1)"), f("n/(n - 1)")),
-            (f("1/n"), f("(n + 2)/(n^2 + 1)"), RF.one()),
-            (f("(n - 3)/(n + 2)"), RF.from_int(2), f("1/(n^2 - 2)")),
+            (RF.zero(), 1 / (n + 1), n / (n - 1)),
+            (1 / n, (n + 2) / (n**2 + 1), RF.one()),
+            ((n - 3) / (n + 2), RF.from_int(2), 1 / (n**2 - 2)),
         ))
         inv = m.invert()
         assert is_inverse(m, inv)

@@ -580,8 +580,8 @@ class TestEmission:
         assert data["labels"] == [str(p) for p in t.family]
         for a in range(2):
             for b in range(2):
-                assert RF.from_text(data["wg"][a][b]) == t.wg.entry(a, b)
-                assert RF.from_text(data["gram"][a][b]) == t.gram.entry(a, b)
+                assert data["wg"][a][b] == str(t.wg.entry(a, b))
+                assert data["gram"][a][b] == str(t.gram.entry(a, b))
 
     def test_csv_shape(self, capsys):
         # the CSV form of a table is written by the CLI
