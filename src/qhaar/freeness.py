@@ -220,14 +220,16 @@ def _lhs_terms(word: MixedWord) -> list:
     return [(_slot_partition(word, p, q), w) for (p, q), w in weights.items() if w]
 
 
-def _evaluate_terms(terms, word: MixedWord):
-    """The sum over (constraint, weight) terms of the weight at the word's
-    size times the constrained sum of the word's factors (lead included),
-    each sum computed once per word (MixedWord.sums)."""
+def _evaluate_terms(terms, word: MixedWord, scale: Fraction = Fraction(1)):
+    """The sum over (constraint, weight) terms of scale times the weight at
+    the word's size times the constrained sum of the word's factors (lead
+    included), each sum computed once per word (MixedWord.sums).  Terms with
+    a zero weight or a zero sum are skipped; the algebra weights the rest at
+    once (CoefficientAlgebra.weighted_sum), a dense one in integers."""
     n = word.size
     factors = word.all_factors()
     sums = word.sums
-    total = word.algebra.zero()
+    pairs = []
     for constraint, w in terms:
         wn = w.evaluate(n)
         if not wn:
@@ -235,18 +237,18 @@ def _evaluate_terms(terms, word: MixedWord):
         block_sum = sums.get(constraint)
         if block_sum is None:
             block_sum = sums[constraint] = constrained_sum(constraint, factors)
-        if not block_sum:
-            continue
-        total = total + block_sum * wn
-    return total
+        if block_sum:
+            pairs.append((wn * scale, block_sum))
+    return word.algebra.weighted_sum(pairs)
 
 
 def lhs_exact(word: MixedWord, n: int | None = None):
     """Exact value of (Haar state tensor tr_N tensor id)[word] at size N.
 
     Sums Weingarten weights against constrained sums whose index equalities
-    are dictated by each pairing pair (_lhs_terms); the 1/N prefactor is the
-    normalized trace.  Without n: lhs_function(word), the value at every N.
+    are dictated by each pairing pair (_lhs_terms); the 1/N prefactor of the
+    normalized trace is folded into the weights, so the sum is weighted once.
+    Without n: lhs_function(word), the value at every N.
     """
     if n is None:
         return lhs_function(word)
@@ -254,7 +256,7 @@ def lhs_exact(word: MixedWord, n: int | None = None):
         raise ValueError("evaluation requires N >= 2")
     if word.size != n:
         raise ValueError(f"word is built at size {word.size}, not {n}")
-    return _evaluate_terms(_lhs_terms(word), word) * Fraction(1, n)
+    return _evaluate_terms(_lhs_terms(word), word, Fraction(1, n))
 
 
 # ---------------------------------------------------------------------------

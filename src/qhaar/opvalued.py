@@ -21,9 +21,10 @@ integer tensor for DenseAlgebra and partition-algebra diagrams for
 permutation-invariant matrices over MatrixUnitAlgebra.  A DiagramMatrix
 holds such a matrix as its diagrams and multiplies by composing them, so it
 is its own lift and builds its entries only on demand.  Every other sum takes
-the transfer scan, the oracle of the fast routes.  E^(sigma) is N^-|sigma|
-times the constrained sum over fatten(sigma); its block-extraction oracle
-lives in qhaar.oracles.
+the transfer scan, the oracle of the fast routes.  weighted_sum adds up the
+weighted sums of a report row; DenseAlgebra does it in integers.
+E^(sigma) is N^-|sigma| times the constrained sum over fatten(sigma); its
+block-extraction oracle lives in qhaar.oracles.
 """
 
 from __future__ import annotations
@@ -114,6 +115,13 @@ class CoefficientAlgebra(ABC):
         the fast route does not apply to this constraint."""
         return None
 
+    def weighted_sum(self, pairs):
+        """The sum of w * x over (Fraction weight w, element x) pairs."""
+        total = self.zero()
+        for w, x in pairs:
+            total = total + x * w
+        return total
+
     def scalar(self, c):
         return self.one() * _as_gauss(c)
 
@@ -197,6 +205,26 @@ class DenseAlgebra(CoefficientAlgebra):
         if len(constraint.blocks) + len(lifts) + 1 > len(_SUBSCRIPTS):
             return None
         return _tensor_sum(constraint, lifts, self)
+
+    def weighted_sum(self, pairs) -> BMatrix:
+        """The sum of w * x in integers: each x is its integers over their lcm
+        L (_gaussian_integers), so w * x = p * ints / (q L) with w = p / q, and
+        the sum is one flat integer list over a common denominator, divided
+        once."""
+        d = self.dim
+        terms = []
+        for w, x in pairs:
+            ints, scale = _gaussian_integers(v for row in x.rows for v in row)
+            terms.append((w.numerator, w.denominator * scale, ints))
+        den = math.lcm(*(q for _, q, _ in terms))
+        acc = [0] * (2 * d * d)
+        for p, q, ints in terms:
+            f = p * (den // q)
+            acc = [a + f * v for a, v in zip(acc, itertools.chain.from_iterable(ints))]
+        return self.from_components({
+            divmod(k, d): GaussianRational(Fraction(acc[2 * k], den), Fraction(acc[2 * k + 1], den))
+            for k in range(d * d)
+        })
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DenseAlgebra) and other.dim == self.dim

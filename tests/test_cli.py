@@ -188,6 +188,22 @@ PINNED_DENSE_MAX_N = {
 }
 
 
+# exact_digest of `freeness --n-min 2 --n-max 8` on dense_circulant with the
+# cells of A scaled by 1000000007/3 and those of B by 999999937/7: every
+# constrained sum and every weighting of that report runs past int64
+PINNED_LARGE_CELLS = "9d7cb922882557c4d808cf1546a047fb31eba9fdd8360adf92f3c14a9dfc17cc"
+
+
+def large_cell_scenario() -> dict:
+    data = json.loads((SCENARIO_DIR / "dense_circulant.json").read_text())
+    for name, scale in (("A", "1000000007/3"), ("B", "999999937/7")):
+        family = data["families"][name]
+        family["coefficients"] = [
+            [[f"({c})*{scale}" for c in row] for row in cell] for cell in family["coefficients"]
+        ]
+    return {**data, "name": "dense-large-cells", "n_range": [2, 8]}
+
+
 def exact_digest(code: int, payload: dict) -> str:
     """Digest of each row's n and value, slope_ok, n2_bounded, verdict, the
     verdicts block and the exit code; the float fields are left out."""
@@ -668,6 +684,15 @@ class TestFreeness:
             "--n-min", "2", "--n-max", str(MAX_N),
         ])
         assert exact_digest(code, payload) == PINNED_DENSE_MAX_N[name]
+
+    def test_large_cell_output_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "large_cells.json"
+        path.write_text(json.dumps(large_cell_scenario()))
+        code, payload = run_json(capsys, [
+            "freeness", "--scenario", str(path), "--n-min", "2", "--n-max", "8",
+        ])
+        assert code == 0 and payload["verdicts"]["verdict"] is True
+        assert exact_digest(code, payload) == PINNED_LARGE_CELLS
 
     def test_pole_blames_n_min(self, capsys):
         code, out, err = run(

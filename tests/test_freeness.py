@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +44,7 @@ from qhaar.opvalued import (
     BMatrix,
     DenseAlgebra,
     MatrixUnitAlgebra,
+    constrained_sum,
     evaluate_expression,
     expectation,
     parse_expression,
@@ -334,6 +336,44 @@ class TestSumMemo:
         assert calls == lhs_calls and len(calls) == len(set(calls))
         assert {c for c, w in _limit_terms(word) if w.evaluate(5)} <= set(word.sums)
         assert limit == limit_formula(MixedWord("quantum", word.letters))
+
+
+# the cells of dense_circulant scaled so that every constrained sum of its
+# word leaves int64: the contraction and the weighting run on Python ints
+LARGE_CELL_SCALES = {"A": "1000000007/3", "B": "999999937/7"}
+
+
+def large_cell_scenario() -> dict:
+    data = json.loads((SCENARIO_DIR / "dense_circulant.json").read_text())
+    for name, scale in LARGE_CELL_SCALES.items():
+        family = data["families"][name]
+        family["coefficients"] = [
+            [[f"({c})*{scale}" for c in row] for row in cell] for cell in family["coefficients"]
+        ]
+    return {**data, "name": "dense-large-cells", "n_range": [2, 8]}
+
+
+def fraction_oracle(terms, word: MixedWord):
+    """Sum of constrained_sum(c, factors) * w(N) over the terms, in the
+    algebra's own Fraction arithmetic and with no memo."""
+    total = word.algebra.zero()
+    for constraint, w in terms:
+        total = total + constrained_sum(constraint, word.all_factors()) * w.evaluate(word.size)
+    return total
+
+
+class TestLargeCells:
+    """Dense rows whose sums are past int64 are weighted exactly."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_equal_the_fraction_oracle(self, n):
+        word = load_scenario(large_cell_scenario()).word_at(n)
+        lifts = [f.lift() for f in word.all_factors()]
+        assert math.prod(bound for _, _, bound in lifts) >= 2**63
+        lhs = lhs_exact(word, n)
+        assert lhs == fraction_oracle(_lhs_terms(word), word) * Fraction(1, n)
+        assert limit_formula(word) == fraction_oracle(list(_limit_terms(word)), word)
+        assert lhs
 
 
 class TestLimitFormulas:

@@ -165,6 +165,74 @@ class TestDenseAlgebra:
             DenseAlgebra(2).element([[1]])
 
 
+# denominators that share factors with each other (2, 3, 6, 12), coprime
+# ones, and large ones past 2^63
+DENOMINATORS = (1, 2, 3, 6, 12, 7, 101, 2**61 - 1, 2**64 + 1, 10**30 + 57)
+
+
+def rand_weight(rng: random.Random) -> Fraction:
+    # Fraction moves a negative denominator's sign to the numerator
+    return Fraction(rng.randint(-10**20, 10**20) or 1, rng.choice((1, -1)) * rng.choice(DENOMINATORS))
+
+
+def rand_wide_dense(rng: random.Random, alg: DenseAlgebra):
+    """A dense element whose parts are zero, small, or past 2^63, over the
+    shared, coprime and large DENOMINATORS."""
+
+    def part():
+        num = rng.choice((0, rng.randint(-5, 5), rng.choice((1, -1)) * rng.randint(2**63, 2**80)))
+        return Fraction(num, rng.choice(DENOMINATORS))
+
+    return alg.element([[GaussianRational(part(), part()) for _ in range(alg.dim)]
+                        for _ in range(alg.dim)])
+
+
+class TestWeightedSum:
+    """DenseAlgebra.weighted_sum sums in integers over one common denominator;
+    it equals the default Fraction loop of CoefficientAlgebra.weighted_sum."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_dense_route_equals_the_default_loop(self, d):
+        alg = DenseAlgebra(d)
+        rng = random.Random(40 + d)
+        for _ in range(40):
+            pairs = [(rand_weight(rng), rand_wide_dense(rng, alg))
+                     for _ in range(rng.randint(1, 8))]
+            if rng.random() < 0.3:
+                pairs.insert(rng.randrange(len(pairs) + 1), (rand_weight(rng), alg.zero()))
+            got = alg.weighted_sum(pairs)
+            assert got == opvalued.CoefficientAlgebra.weighted_sum(alg, pairs)
+            assert alg.contains(got)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_weights_that_share_factors_with_the_entries(self, d):
+        # w = 1/2 against entries over 2: the terms' common denominator is
+        # 4, not lcm(2, 2), and the sum is 1/4 + 1/4 = 1/2 in each part
+        alg = DenseAlgebra(d)
+        half = GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+        x = alg.element([[half] * d] * d)
+        got = alg.weighted_sum([(Fraction(1, 2), x), (Fraction(1, 2), x)])
+        assert got == x
+        assert got == opvalued.CoefficientAlgebra.weighted_sum(alg, [(Fraction(1, 2), x)] * 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zero_terms(self, d):
+        alg = DenseAlgebra(d)
+        assert alg.weighted_sum([]) == alg.zero()
+        assert alg.weighted_sum([(Fraction(-3, 7), alg.zero())]) == alg.zero()
+        assert opvalued.CoefficientAlgebra.weighted_sum(alg, []) == alg.zero()
+
+    def test_other_algebras_keep_the_default_loop(self):
+        rng = random.Random(45)
+        alg = MatrixUnitAlgebra(2)
+        pairs = [(rand_weight(rng), rand_matrix_unit(rng, alg)) for _ in range(5)]
+        assert type(alg).weighted_sum is opvalued.CoefficientAlgebra.weighted_sum
+        total = alg.zero()
+        for w, x in pairs:
+            total = total + x * w
+        assert alg.weighted_sum(pairs) == total
+
+
 class TestMatrixUnitAlgebra:
     def test_product_rule(self):
         one = GaussianRational.one()
