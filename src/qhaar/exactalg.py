@@ -507,40 +507,59 @@ class FieldMatrix:
     def entry(self, i: int, j: int):
         return self.entries[i][j]
 
-    def invert(self) -> "FieldMatrix":
-        """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
-        n = self.size
-        if n == 0:
-            return self
-        one = RationalFunction.one()
-        zero = RationalFunction.zero()
-        aug = [
-            list(self.entries[i]) + [one if i == j else zero for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if bool(aug[r][col])), None)
-            if pivot_row is None:
-                raise SingularMatrixError(col)
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv if x else x for x in aug[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = aug[r][col]
-                if not bool(factor):
-                    continue
-                # a - factor * b over one denominator: one canonical reduction
-                fn, fd = factor.num, factor.den
-                aug[r] = [
-                    RationalFunction(_padd(_pmul(a.num, _pmul(fd, b.den)),
-                                           _pneg(_pmul(_pmul(fn, b.num), a.den))),
-                                     _pmul(_pmul(a.den, fd), b.den)) if b else a
-                    for a, b in zip(aug[r], aug[col])
-                ]
-        inv = tuple(tuple(row[n:]) for row in aug)
-        return FieldMatrix(inv)
+    def invert(self, symmetries=()) -> "FieldMatrix":
+        """Exact inverse W of a symmetric matrix G: G = L D L^T without
+        pivoting, then L^T W = D^-1 L^-1, whose upper triangle is D^-1, from
+        the last row up: W_ij = [i == j] / d_i - sum_{k > i} L_ki W_kj.
+
+        Each entry update is reduced once.  symmetries are index
+        permutations s with G[s[i]][s[j]] == G[i][j]; W keeps them, so each
+        computed entry is copied to its images (for a group: one entry per
+        orbit).  ValueError if G is not symmetric or an s does not fix it;
+        SingularMatrixError(k) on a zero pivot d_k.  A Gram matrix n^{|p v q|}
+        of 2m-point pairings has none: it is positive definite at n >= 2m,
+        so every leading minor is a nonzero function.
+        """
+        g, size = self.entries, self.size
+        lower = [(i, j) for i in range(size) for j in range(i + 1)]
+        if any(g[i][j] != g[j][i] for i, j in lower):
+            raise ValueError("matrix is not symmetric")
+        for s in symmetries:
+            if sorted(s) != list(range(size)) or any(g[s[i]][s[j]] != g[i][j] for i, j in lower):
+                raise ValueError(f"permutation {tuple(s)} does not fix the matrix")
+        a = [list(row[:i + 1]) for i, row in enumerate(g)]
+        low = [[None] * i for i in range(size)]
+        for k in range(size):
+            if not a[k][k]:
+                raise SingularMatrixError(k)
+            for i in range(k + 1, size):
+                low[i][k] = l = a[i][k] / a[k][k]
+                a[i][k + 1:] = [_minus_sum(a[i][j], [(l, a[j][k])]) for j in range(k + 1, i + 1)]
+        wg, zero = {}, RationalFunction.zero()
+        for i in range(size - 1, -1, -1):
+            for j in range(size - 1, i - 1, -1):
+                if (i, j) not in wg:
+                    value = _minus_sum(1 / a[i][i] if i == j else zero,
+                                       [(low[k][i], wg[k, j]) for k in range(i + 1, size)])
+                    for s in [range(size), *symmetries]:
+                        wg[s[i], s[j]] = wg[s[j], s[i]] = value
+        return FieldMatrix(tuple(tuple(wg[i, j] for j in range(size)) for i in range(size)))
+
+
+def _minus_sum(c: RationalFunction, pairs) -> RationalFunction:
+    """c minus the sum of the products f*h, reduced once: numerators over
+    equal denominators are added first.  With no nonzero product, c itself."""
+    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for f, h in pairs:
+        if f and h:
+            den = _pmul(f.den, h.den)
+            groups[den] = _padd(groups.get(den, ()), _pmul(f.num, h.num))
+    if not groups:
+        return c
+    num, den = c.num, c.den
+    for d, n in groups.items():
+        num, den = _padd(_pmul(num, d), _pneg(_pmul(n, den))), _pmul(den, d)
+    return RationalFunction(num, den)
 
 
 # ---------------------------------------------------------------------------

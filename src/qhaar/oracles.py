@@ -5,8 +5,9 @@ and the test suite compares the two: haar_moment (one Weingarten table) and
 free_product_moment (noncrossing cumulants) against weingarten.word_moment,
 brute_force_moment (every index tuple) against freeness.lhs_exact,
 laurent_moments (interpolation) against freeness.lhs_function,
-nested_functional (block extraction) against opvalued.functional_e, and
-mobius_recursive (the defining recursion) against partitions.mobius.
+nested_functional (block extraction) against opvalued.functional_e,
+mobius_recursive (the defining recursion) against partitions.mobius, and
+gauss_jordan_inverse (any nonsingular matrix) against FieldMatrix.invert.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
-from .exactalg import GaussianRational, RationalFunction, interpolate_rational
+from .exactalg import (FieldMatrix, GaussianRational, RationalFunction, SingularMatrixError,
+                       interpolate_rational)
 from .freeness import MixedWord, MomentPattern, lhs_exact
 from .opvalued import _check_args, expectation
 from .partitions import Partition, SignPattern, enumerate_family, kernel, leq, mobius
@@ -38,6 +40,7 @@ __all__ = [
     "brute_force_moment",
     "laurent_moments",
     "mobius_recursive",
+    "gauss_jordan_inverse",
 ]
 
 
@@ -253,3 +256,23 @@ def laurent_moments(word_at, samples, degrees: tuple[int, int] = (8, 8)) -> Mome
         if re or im:
             entries[key] = (re, im)
     return MomentPattern(entries)
+
+
+def gauss_jordan_inverse(matrix: FieldMatrix) -> FieldMatrix:
+    """Exact inverse of any nonsingular matrix by Gauss-Jordan elimination with
+    first-nonzero pivoting; SingularMatrixError names the column with no pivot."""
+    n = matrix.size
+    aug = [list(row) + [RationalFunction.from_int(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix.entries)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError(col)
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv if x else x for x in aug[col]]
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and factor:
+                aug[r] = [a - factor * b if b else a for a, b in zip(aug[r], aug[col])]
+    return FieldMatrix(tuple(tuple(row[n:]) for row in aug))

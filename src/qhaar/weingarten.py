@@ -252,15 +252,30 @@ def _classical_wg(cycles) -> RationalFunction:
     return total
 
 
+def _dihedral_symmetries(eps: SignPattern, family) -> list[tuple[int, ...]]:
+    """The index permutations of family induced by the rotations and
+    reflections of the 2m positions that fix eps, the identity left out.
+    They keep noncrossing-ness and |p v q|, so they fix the Gram matrix.
+    """
+    k, index = len(eps), {p: i for i, p in enumerate(family)}
+    turns = [[(y + shift) % k for y in range(k)] for shift in range(k)]
+    blocks = [p.block_index() for p in family]
+    found = {tuple(index[kernel(block[t[y] + 1] for y in range(k))] for block in blocks)
+             for t in turns + [t[::-1] for t in turns]
+             if all(eps.signs[t[y]] == eps.signs[y] for y in range(k))}
+    return sorted(found - {tuple(range(len(family)))})
+
+
 def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     """Enumerate the pairing family for eps and build its exact Wg matrix.
 
     Each Gram entry is n^{|p v s|}, with the block count read off a
     union-find over the blocks of p and s; no join partition is built.
-    Quantum tables invert the Gram matrix.  P2^eps is S_k (the i-th 1 pairs
-    with the s(i)-th *), so a classical entry is _classical_wg of the cycle
-    type of (p, s): half the block sizes in the same union-find.  Results
-    are cached by (flavor, pattern), quantum inverses by Gram matrix.
+    Quantum tables invert the Gram matrix, one entry per orbit of
+    _dihedral_symmetries.  P2^eps is S_k (the i-th 1 pairs with the s(i)-th
+    *), so a classical entry is _classical_wg of the cycle type of (p, s):
+    half the block sizes in the same union-find.  Results are cached by
+    (flavor, pattern), quantum inverses by Gram matrix.
     """
     record = flavor_of(flavor)
     eps = _as_pattern(eps)
@@ -286,7 +301,7 @@ def build_table(flavor: str, eps: SignPattern) -> WeingartenTable:
     else:
         wg = _INVERSE_CACHE.get(gram)
         if wg is None:
-            wg = _INVERSE_CACHE[gram] = gram.invert()
+            wg = _INVERSE_CACHE[gram] = gram.invert(_dihedral_symmetries(eps, family))
     table = WeingartenTable(flavor, eps, family, gram, wg)
     _TABLE_CACHE[key] = table
     return table

@@ -22,6 +22,7 @@ from qhaar.exactalg import (
     _pneg,
     laurent_at_infinity,
 )
+from qhaar.oracles import gauss_jordan_inverse
 
 RF = RationalFunction
 N_VAR = RF.variable()
@@ -322,7 +323,7 @@ class TestFieldMatrix:
                 )
                 m = FieldMatrix(rows)
                 try:
-                    inv = m.invert()
+                    inv = gauss_jordan_inverse(m)
                 except SingularMatrixError:
                     continue
                 break
@@ -332,7 +333,7 @@ class TestFieldMatrix:
         i = GaussianRational.i()
         one = GaussianRational.one()
         m = realified(((one, i), (-i, one + one)))
-        inv = m.invert()
+        inv = gauss_jordan_inverse(m)
         assert is_inverse(m, inv)
         # [[1, i], [-i, 2]] has determinant 1 and inverse [[2, -i], [i, 1]]
         assert inv == realified(((one + one, -i), (i, one)))
@@ -347,6 +348,30 @@ class TestFieldMatrix:
     def test_empty_matrix(self):
         m = FieldMatrix(())
         assert m.invert().size == 0
+        assert gauss_jordan_inverse(m).size == 0
+
+    def test_symmetric_inverse_with_a_symmetry(self):
+        # [[a, b, c], [b, a, c], [c, c, e]] is fixed by swapping 0 and 1
+        n = N_VAR
+        a, b, c, e = n**3, n**2, n, n**3 + 1
+        m = FieldMatrix(((a, b, c), (b, a, c), (c, c, e)))
+        plain, orbits = m.invert(), m.invert([(1, 0, 2)])
+        assert plain == orbits == gauss_jordan_inverse(m)
+        assert is_inverse(m, plain)
+
+    def test_rejects_a_non_symmetric_matrix(self):
+        o, t = RF.one(), RF.from_int(2)
+        with pytest.raises(ValueError, match="not symmetric"):
+            FieldMatrix(((t, o), (RF.zero(), t))).invert()
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0), (0, 1), (0, 0, 1)])
+    def test_rejects_a_permutation_that_does_not_fix_the_matrix(self, perm):
+        # symmetric, but only the swap of 1 and 2 fixes it
+        n = N_VAR
+        m = FieldMatrix(((n**2, n, n), (n, n**3, RF.one()), (n, RF.one(), n**3)))
+        assert m.invert([(0, 2, 1)]) == gauss_jordan_inverse(m)
+        with pytest.raises(ValueError, match="does not fix the matrix"):
+            m.invert([perm])
 
     def test_row_update_with_nonconstant_denominators(self):
         # each updated entry a - f * b is built over one denominator and
@@ -357,7 +382,7 @@ class TestFieldMatrix:
             (1 / n, (n + 2) / (n**2 + 1), RF.one()),
             ((n - 3) / (n + 2), RF.from_int(2), 1 / (n**2 - 2)),
         ))
-        inv = m.invert()
+        inv = gauss_jordan_inverse(m)
         assert is_inverse(m, inv)
         for size in (5, 7):
             at = [[m.entry(a, b).evaluate(size) for b in range(3)] for a in range(3)]
