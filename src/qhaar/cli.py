@@ -95,28 +95,21 @@ def _n_range(args, default_lo: int, default_hi: int) -> range:
 
 
 def _cmd_partitions(args):
-    params = {}
     if args.eps is not None:
         eps = _parse_eps(args.eps)
         flavor = _require_flavor(args.flavor)
-        kind = FLAVORS[flavor].pairings
         _check_m(args, eps)
         params = {"flavor": flavor, "eps": str(eps)}
-        try:
-            family = enumerate_family(kind, len(eps), eps)
-        except ValueError as exc:
-            raise UsageError(f"--eps: {exc}") from exc
-        size = len(eps)
+        flag, kind, size = "--eps", FLAVORS[flavor].pairings, len(eps)
     else:
         if args.m is None:
             raise UsageError("--m: required when --eps is not given")
-        kind = "nc"
         params = {"m": args.m}
-        try:
-            family = enumerate_family(kind, args.m)
-        except ValueError as exc:
-            raise UsageError(f"--m: {exc}") from exc
-        size = args.m
+        eps, flag, kind, size = None, "--m", "nc", args.m
+    try:
+        family = enumerate_family(kind, size, eps)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
     members = [str(p) for p in family.members]
     results = {"kind": kind, "size": size, "count": len(members), "members": members}
     rows = [["index", "partition"], *enumerate(members)]
@@ -198,11 +191,7 @@ def _cmd_freeness(args):
     results = report_to_json(report)
     results["name"] = scenario.name
     results["flavor"] = scenario.flavor
-    verdicts = {
-        "slope_ok": report.slope_ok,
-        "n2_bounded": report.n2_bounded,
-        "verdict": report.verdict,
-    }
+    verdicts = {key: results[key] for key in ("slope_ok", "n2_bounded", "verdict")}
     rows = [["N", "delta", "N2_delta"]]
     rows.extend([r.n, r.delta, r.n2_delta] for r in report.rows)
     return params, results, verdicts, rows

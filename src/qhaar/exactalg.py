@@ -145,7 +145,7 @@ class GaussianRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -376,10 +376,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            _padd(_pmul(self.num, o.den), _pneg(_pmul(o.num, self.den))),
-            _pmul(self.den, o.den),
-        )
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)

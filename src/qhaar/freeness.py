@@ -225,7 +225,7 @@ def _evaluate_terms(terms, word: MixedWord, scale: Fraction = Fraction(1)):
     the word's size times the constrained sum of the word's factors (lead
     included), each sum computed once per word (MixedWord.sums).  Terms with
     a zero weight or a zero sum are skipped; the algebra weights the rest at
-    once (CoefficientAlgebra.weighted_sum), a dense one in integers."""
+    once, in integers on their coordinates (CoefficientAlgebra.weighted_sum)."""
     n = word.size
     factors = word.all_factors()
     sums = word.sums
@@ -626,8 +626,12 @@ def _parse_family(data, kind: str, dim: int | None) -> FamilySpec:
         entry = data.get("entry")
         if not isinstance(entry, str):
             raise ValueError("matrix_unit_pattern families need an 'entry' expression")
-        parse_expression(entry, ENTRY_NAMES)
+        for node in ast.walk(parse_expression(entry, ENTRY_NAMES)):
+            if isinstance(node, ast.Call) and node.func.id == "E" and len(node.args) != 3:
+                raise ValueError(f"E takes three arguments (system, a, b), got {len(node.args)}")
         return FamilySpec(ctor, entry)
+    if ctor not in ("diagonal_constant", "circulant", "diagonal_pattern", "explicit"):
+        raise ValueError(f"unknown family constructor: {ctor}")
     if kind != "dense":
         raise ValueError(f"constructor {ctor} needs the dense algebra")
     if ctor == "diagonal_constant":
@@ -638,25 +642,24 @@ def _parse_family(data, kind: str, dim: int | None) -> FamilySpec:
         if not isinstance(cells, list) or not cells:
             raise ValueError(f"{ctor} families need a nonempty '{key}' list")
         return FamilySpec(ctor, tuple(_parse_cell(c, dim) for c in cells))
-    if ctor == "explicit":
-        table = data.get("matrices")
-        if not isinstance(table, dict) or not table:
-            raise ValueError("explicit families need a 'matrices' object keyed by N")
-        sizes = {str(n): n for n in range(2, MAX_N + 1)}
-        payload = {}
-        for key, rows in table.items():
-            n = sizes.get(str(key))
-            if n is None:
-                raise ValueError(f"'matrices' keys are sizes from 2 to {MAX_N}, got {key!r}")
-            if not (
-                isinstance(rows, list)
-                and len(rows) == n
-                and all(isinstance(row, list) and len(row) == n for row in rows)
-            ):
-                raise ValueError(f"the explicit matrix for N = {n} must be {n}x{n}")
-            payload[n] = [[_parse_cell(v, dim) for v in row] for row in rows]
-        return FamilySpec(ctor, payload)
-    raise ValueError(f"unknown family constructor: {ctor}")
+    # explicit
+    table = data.get("matrices")
+    if not isinstance(table, dict) or not table:
+        raise ValueError("explicit families need a 'matrices' object keyed by N")
+    sizes = {str(n): n for n in range(2, MAX_N + 1)}
+    payload = {}
+    for key, rows in table.items():
+        n = sizes.get(str(key))
+        if n is None:
+            raise ValueError(f"'matrices' keys are sizes from 2 to {MAX_N}, got {key!r}")
+        if not (
+            isinstance(rows, list)
+            and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)
+        ):
+            raise ValueError(f"the explicit matrix for N = {n} must be {n}x{n}")
+        payload[n] = [[_parse_cell(v, dim) for v in row] for row in rows]
+    return FamilySpec(ctor, payload)
 
 
 def load_scenario(source) -> Scenario:

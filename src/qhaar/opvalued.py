@@ -22,7 +22,7 @@ permutation-invariant matrices over MatrixUnitAlgebra.  A DiagramMatrix
 holds such a matrix as its diagrams and multiplies by composing them, so it
 is its own lift and builds its entries only on demand.  Every other sum takes
 the transfer scan, the oracle of the fast routes.  weighted_sum adds up the
-weighted sums of a report row; DenseAlgebra does it in integers.
+weighted sums of a report row in integers, on their coordinates.
 E^(sigma) is N^-|sigma| times the constrained sum over fatten(sigma); its
 block-extraction oracle lives in qhaar.oracles.
 """
@@ -116,11 +116,10 @@ class CoefficientAlgebra(ABC):
         return None
 
     def weighted_sum(self, pairs):
-        """The sum of w * x over (Fraction weight w, element x) pairs."""
-        total = self.zero()
-        for w, x in pairs:
-            total = total + x * w
-        return total
+        """The sum of w * x over (Fraction weight w, element x) pairs, added
+        in integers on the elements' coordinates (_weighted_coordinates)."""
+        coordinates = ((w, self.components(x)) for w, x in pairs)
+        return self.from_components(_weighted_coordinates(coordinates))
 
     def scalar(self, c):
         return self.one() * _as_gauss(c)
@@ -206,26 +205,6 @@ class DenseAlgebra(CoefficientAlgebra):
             return None
         return _tensor_sum(constraint, lifts, self)
 
-    def weighted_sum(self, pairs) -> BMatrix:
-        """The sum of w * x in integers: each x is its integers over their lcm
-        L (_gaussian_integers), so w * x = p * ints / (q L) with w = p / q, and
-        the sum is one flat integer list over a common denominator, divided
-        once."""
-        d = self.dim
-        terms = []
-        for w, x in pairs:
-            ints, scale = _gaussian_integers(v for row in x.rows for v in row)
-            terms.append((w.numerator, w.denominator * scale, ints))
-        den = math.lcm(*(q for _, q, _ in terms))
-        acc = [0] * (2 * d * d)
-        for p, q, ints in terms:
-            f = p * (den // q)
-            acc = [a + f * v for a, v in zip(acc, itertools.chain.from_iterable(ints))]
-        return self.from_components({
-            divmod(k, d): GaussianRational(Fraction(acc[2 * k], den), Fraction(acc[2 * k + 1], den))
-            for k in range(d * d)
-        })
-
     def __eq__(self, other) -> bool:
         return isinstance(other, DenseAlgebra) and other.dim == self.dim
 
@@ -296,8 +275,7 @@ class MatrixUnitElement:
 
     def __mul__(self, other):
         if isinstance(other, MatrixUnitElement):
-            if other.n != self.n:
-                raise TypeError("matrix-unit elements of mismatched size")
+            self._check(other)
             # E_ab(1)E_cd(2) * E_a'b'(1)E_c'd'(2)
             #   = delta_{ba'} delta_{dc'} E_ab'(1)E_cd'(2)
             right: dict = {}
@@ -463,6 +441,15 @@ class MatrixUnitAlgebra(CoefficientAlgebra):
             kap: GaussianRational(Fraction(_peval(re, n), den), Fraction(_peval(im, n), den))
             for kap, (re, im) in classes.items()
         })
+
+    def weighted_sum(self, pairs) -> MatrixUnitElement:
+        """CoefficientAlgebra.weighted_sum on kernel-class maps when every
+        element has them (every fast_sum result), else on term maps (.terms
+        expands classes); unlike components, both are coordinates at every N."""
+        pairs = list(pairs)
+        if all(x.classes is not None for _, x in pairs):
+            return self.from_components(_weighted_coordinates((w, x.classes) for w, x in pairs))
+        return MatrixUnitElement._raw(self.n, _weighted_coordinates((w, x.terms) for w, x in pairs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MatrixUnitAlgebra) and other.n == self.n
@@ -836,6 +823,28 @@ def _gaussian_integers(values) -> tuple[list, int]:
          v.im.numerator * (scale // v.im.denominator))
         for v in values
     ], scale
+
+
+def _weighted_coordinates(pairs) -> dict:
+    """The zero-free coordinates of the sum of w * x over (Fraction w,
+    coordinate map x) pairs, in integers: with x's values over the lcm L of
+    their denominators and w = p / q, w * x is p times x's integers over
+    q L; the terms add up as (re, im) integer maps over a common
+    denominator, divided once."""
+    terms = []
+    for w, comps in pairs:
+        scale = math.lcm(*(f.denominator for v in comps.values() for f in (v.re, v.im)))
+        terms.append((w.numerator, w.denominator * scale, scale, comps))
+    den = math.lcm(*(q for _, q, _, _ in terms))
+    re, im = {}, {}
+    for p, q, scale, comps in terms:
+        f = p * (den // q)
+        for k, v in comps.items():
+            a, b = v.re, v.im
+            re[k] = re.get(k, 0) + f * a.numerator * (scale // a.denominator)
+            im[k] = im.get(k, 0) + f * b.numerator * (scale // b.denominator)
+    return {k: GaussianRational(Fraction(a, den), Fraction(im[k], den))
+            for k, a in re.items() if a or im[k]}
 
 
 def _integer_tensor(a: BMatrix) -> tuple[np.ndarray, int, int]:

@@ -153,6 +153,16 @@ BAD_SCENARIOS = [
      "family A: matrix_unit_pattern families need an 'entry' expression"),
     ("dense-family-over-matrix-units", {"algebra": {"kind": "matrix_unit"}},
      "family A: constructor diagonal_constant needs the dense algebra"),
+    # the name is checked before the algebra, so a misspelt constructor is
+    # not blamed on the algebra
+    ("unknown-constructor-over-matrix-units",
+     {"algebra": {"kind": "matrix_unit"}, "families": {"A": {"constructor": "mystery"}}},
+     "family A: unknown family constructor: mystery"),
+    # E's arity is checked at load, not reported as a Python signature
+    ("entry-e-two-arguments", entry("E(1, i)"),
+     "family A: E takes three arguments (system, a, b), got 2"),
+    ("entry-e-four-arguments", entry("E(1, i, j, 1)"),
+     "family A: E takes three arguments (system, a, b), got 4"),
     ("circulant-without-coefficients",
      {"families": {"A": {"constructor": "circulant", "coefficients": []}}},
      "family A: circulant families need a nonempty 'coefficients' list"),

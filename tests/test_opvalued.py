@@ -15,6 +15,7 @@ from qhaar.freeness import (
     MixedWord,
     UnitaryLetter,
     _finite_dim_spec,
+    _lhs_terms,
     _limit_terms,
     _slot_partition,
     counterexample_word,
@@ -187,9 +188,18 @@ def rand_wide_dense(rng: random.Random, alg: DenseAlgebra):
                         for _ in range(alg.dim)])
 
 
+def fraction_loop(alg, pairs):
+    """The reference of weighted_sum: w * x added term by term in the
+    algebra's own Fraction arithmetic."""
+    total = alg.zero()
+    for w, x in pairs:
+        total = total + x * w
+    return total
+
+
 class TestWeightedSum:
-    """DenseAlgebra.weighted_sum sums in integers over one common denominator;
-    it equals the default Fraction loop of CoefficientAlgebra.weighted_sum."""
+    """weighted_sum adds a row's coordinates in integers over one common
+    denominator; it equals the term-by-term Fraction loop."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_dense_route_equals_the_default_loop(self, d):
@@ -201,7 +211,7 @@ class TestWeightedSum:
             if rng.random() < 0.3:
                 pairs.insert(rng.randrange(len(pairs) + 1), (rand_weight(rng), alg.zero()))
             got = alg.weighted_sum(pairs)
-            assert got == opvalued.CoefficientAlgebra.weighted_sum(alg, pairs)
+            assert got == fraction_loop(alg, pairs)
             assert alg.contains(got)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -213,24 +223,42 @@ class TestWeightedSum:
         x = alg.element([[half] * d] * d)
         got = alg.weighted_sum([(Fraction(1, 2), x), (Fraction(1, 2), x)])
         assert got == x
-        assert got == opvalued.CoefficientAlgebra.weighted_sum(alg, [(Fraction(1, 2), x)] * 2)
+        assert got == fraction_loop(alg, [(Fraction(1, 2), x)] * 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_zero_terms(self, d):
         alg = DenseAlgebra(d)
         assert alg.weighted_sum([]) == alg.zero()
         assert alg.weighted_sum([(Fraction(-3, 7), alg.zero())]) == alg.zero()
-        assert opvalued.CoefficientAlgebra.weighted_sum(alg, []) == alg.zero()
+        assert fraction_loop(alg, []) == alg.zero()
 
-    def test_other_algebras_keep_the_default_loop(self):
+    def test_matrix_unit_rows_equal_the_loop(self):
+        # term maps: random elements at N = 2, which have no kernel classes
         rng = random.Random(45)
         alg = MatrixUnitAlgebra(2)
-        pairs = [(rand_weight(rng), rand_matrix_unit(rng, alg)) for _ in range(5)]
-        assert type(alg).weighted_sum is opvalued.CoefficientAlgebra.weighted_sum
-        total = alg.zero()
-        for w, x in pairs:
-            total = total + x * w
-        assert alg.weighted_sum(pairs) == total
+        for _ in range(20):
+            pairs = [(rand_weight(rng), rand_matrix_unit(rng, alg)) for _ in range(5)]
+            got = alg.weighted_sum(pairs)
+            assert got.classes is None
+            assert got == fraction_loop(alg, pairs)
+        # class maps: the flip word's fast_sum results, below N = 4 (where
+        # components raises) and above it
+        for n in range(2, 8):
+            word = counterexample_word(n, "quantum")
+            pairs = []
+            for constraint, w in _lhs_terms(word):
+                x = constrained_sum(constraint, word.all_factors())
+                assert x.classes is not None
+                pairs.append((w.evaluate(n) / n, x))
+            got = word.algebra.weighted_sum(pairs)
+            assert got.classes is not None
+            assert got == fraction_loop(word.algebra, pairs) == lhs_exact(word, n)
+            # one element without classes: the whole row goes on term maps
+            stray = (rand_weight(rng), rand_matrix_unit(rng, word.algebra))
+            pairs.insert(rng.randrange(len(pairs)), stray)
+            got = word.algebra.weighted_sum(pairs)
+            assert got.classes is None
+            assert got == fraction_loop(word.algebra, pairs)
 
 
 class TestMatrixUnitAlgebra:

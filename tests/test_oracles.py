@@ -137,6 +137,35 @@ def test_brute_force_never_reaches_pair_weights(monkeypatch, flavor, labels):
     assert brute_force_moment(word, 2) == expected
 
 
+# A * C is not invariant under index permutations (C = E(1, i, 1)), so every
+# sum of this word takes the transfer scan and its rows are weighted on term
+# maps; the flip word's factors are diagrams, summed by loop counting and
+# weighted on kernel-class maps
+TERM_MAP_SCENARIO = {
+    "flavor": "quantum",
+    "algebra": {"kind": "matrix_unit"},
+    "families": {"A": {"constructor": "matrix_unit_pattern", "entry": "E(1, j, i)"},
+                 "C": {"constructor": "matrix_unit_pattern", "entry": "E(1, i, 1)"}},
+    "word": [{"label": 1, "sign": "1", "factor": "A * C"},
+             {"label": 1, "sign": "*", "factor": "C + A - 2"}],
+    "n_range": [2, 7],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("maps", ["term", "class"])
+def test_matrix_unit_words_match_brute_force(routes, maps, n):
+    if maps == "term":
+        word = load_scenario(TERM_MAP_SCENARIO).word_at(n)
+    else:
+        word = MixedWord("quantum", freeness.counterexample_word(n, "quantum").letters[:2])
+    value = lhs_exact(word, n)
+    assert value and (value.classes is None) == (maps == "term")
+    assert routes["_tensor_sum"] == 0
+    assert (routes["_scan_sum"] > 0, routes["_loop_sum"] > 0) == (maps == "term", maps == "class")
+    assert value == brute_force_moment(word, n)
+
+
 # ---------------------------------------------------------------------------
 # functional_e (a constrained sum over fatten(sigma)) against nested_functional
 # (block-by-block extraction), on every noncrossing sigma of 1..5 points
